@@ -1,28 +1,15 @@
-//! Execution-layer baseline: times the prepared-feature pipeline and
-//! batch scoring of PRM, DESA, and RAPID-pro against the legacy
-//! per-`(ds, input)` path at quick scale, and writes `BENCH_exec.json`
-//! (repo root, the committed gate baseline) plus `telemetry.ndjson` and
-//! a Chrome trace under `--out-dir` from the same `rapid-obs` registry.
-//! With `RAPID_OBS_ADDR=host:port` set, the run also serves live
-//! `/metrics`, `/healthz`, and `/snapshot` endpoints while it executes.
-//!
-//! The "before" numbers reconstruct what the pre-refactor code paid:
-//!
-//! * training rebuilt every list's feature matrix once per epoch (each
-//!   sample sits in exactly one mini-batch per epoch), so the legacy
-//!   train cost is the cached-train cost plus `epochs ×` one full cache
-//!   rebuild;
-//! * inference went through `rerank(ds, input)`, which assembles the
-//!   feature/coverage/novelty state per call — measured here directly
-//!   via the (still supported) legacy shim, sequentially.
-//!
-//! The "after" numbers are the refactored path: one shared
-//! `FeatureCache`, `fit_prepared` on cached lists, and `rerank_batch`
-//! across scoped worker threads. Both inference paths run for real and
-//! the binary asserts their permutations are identical. The recorded
-//! `worker_count` shows how much of the batch-inference gap is
-//! parallelism (on a single-core host it is 1, and the win comes from
-//! the eliminated rebuilds alone).
+//! Execution-layer baseline: times the prepared-feature pipeline,
+//! training on one shared `FeatureCache`, and `rerank_batch` scoring
+//! across scoped worker threads for PRM, DESA, and RAPID-pro at quick
+//! scale, and writes `BENCH_exec.json` (repo root, the committed gate
+//! baseline) plus `telemetry.ndjson` and a Chrome trace under
+//! `--out-dir` from the same `rapid-obs` registry. With
+//! `RAPID_OBS_ADDR=host:port` set, the run also serves live `/healthz`,
+//! `/metrics`, `/snapshot`, `/trace`, and `/slo` endpoints while it
+//! executes (`rapid_serve::telemetry`). The binary asserts that batch
+//! scoring re-ranks every list exactly as sequential
+//! `rerank_prepared` calls do; the recorded `worker_count` says how
+//! many threads the batch fanned over.
 //!
 //! Every stage is timed by a `rapid-obs` [`Span`]; the
 //! JSON report derives each figure from the exact `Duration` returned
@@ -84,11 +71,6 @@ struct ModelRow {
     name: String,
     train_batches: usize,
     train_cached_ms: f64,
-    /// `epochs ×` one full train-cache rebuild — the feature work the
-    /// old per-epoch path did on top of the same optimizer steps.
-    legacy_feature_rebuild_ms: f64,
-    train_legacy_ms: f64,
-    infer_legacy_seq_ms: f64,
     infer_batch_ms: f64,
 }
 
@@ -103,9 +85,7 @@ struct BenchReport {
     prepare_train_ms: f64,
     prepare_test_ms: f64,
     models: Vec<ModelRow>,
-    total_before_ms: f64,
     total_after_ms: f64,
-    speedup: f64,
     /// Full `Pipeline::evaluate` of the three-model lineup, one model at
     /// a time (the pre-refactor harness shape).
     multi_model_seq_ms: f64,
@@ -138,11 +118,11 @@ fn main() {
     println!("# Execution-layer bench (scale: {})\n", cli.scale_tag());
 
     // Route run artifacts (telemetry, Chrome trace, RAPID_DIAG training
-    // traces) under --out-dir, and start the /metrics endpoint when
+    // traces) under --out-dir, and start the telemetry endpoints when
     // RAPID_OBS_ADDR is set so the run can be watched live.
     rapid_obs::set_out_dir(&cli.out_dir);
-    if let Some(addr) = rapid_obs::install_from_env() {
-        println!("serving /metrics on http://{addr}\n");
+    if let Some(addr) = rapid_serve::telemetry::install_from_env() {
+        println!("serving /healthz /metrics /snapshot /trace /slo on http://{addr}\n");
     }
 
     let mut config = ExperimentConfig::new(Flavor::MovieLens, cli.scale);
@@ -165,67 +145,44 @@ fn main() {
     let mut models = lineup(&pipeline, hidden, epochs, cli.seed);
 
     let mut rows = Vec::new();
-    let mut total_before = 0.0;
-    let mut total_after = 0.0;
+    // The shared cache is built once for the whole lineup.
+    let mut total_after = prepare_train_ms + prepare_test_ms;
 
     for model in &mut models {
         let name = model.name();
 
-        // After: train on the shared cache.
         let span = Span::enter(&format!("train_cached/{name}"));
         let report = model.fit_prepared(ds, &train_cache);
         let train_cached_ms = ms(span.finish());
 
-        // Before: the same optimizer steps plus the per-epoch feature
-        // rebuild the old fit path performed.
-        let span = Span::enter(&format!("legacy_rebuild/{name}"));
-        for _ in 0..epochs.max(1) {
-            let rebuilt = FeatureCache::from_samples(ds, pipeline.train_samples());
-            std::hint::black_box(&rebuilt);
-        }
-        let legacy_feature_rebuild_ms = ms(span.finish());
-        let train_legacy_ms = train_cached_ms + legacy_feature_rebuild_ms;
-
-        // Before: sequential legacy shim, re-preparing each list.
-        let span = Span::enter(&format!("infer_legacy/{name}"));
-        let legacy_perms: Vec<Vec<usize>> = pipeline
-            .test_inputs()
-            .iter()
-            .map(|input| model.rerank(ds, input))
-            .collect();
-        let infer_legacy_seq_ms = ms(span.finish());
-
-        // After: batch scoring over the prepared cache.
         let span = Span::enter(&format!("infer_batch/{name}"));
         let batch_perms = model.rerank_batch(ds, &test_cache);
         let infer_batch_ms = ms(span.finish());
 
+        // Untimed: the threaded batch must re-rank every list exactly
+        // like a sequential call (`tests/exec_equivalence.rs` does not
+        // cover DESA).
+        let sequential: Vec<Vec<usize>> = test_cache
+            .iter()
+            .map(|prep| model.rerank_prepared(ds, prep))
+            .collect();
         assert_eq!(
-            legacy_perms, batch_perms,
-            "{name}: prepared batch path must match the legacy per-list path"
+            sequential, batch_perms,
+            "{name}: batch scoring must match sequential rerank_prepared calls"
         );
 
         println!(
-            "{:<12} train {:>8.1} ms cached / {:>8.1} ms legacy | infer {:>7.1} ms batch / {:>7.1} ms legacy",
-            name, train_cached_ms, train_legacy_ms, infer_batch_ms, infer_legacy_seq_ms
+            "{name:<12} train {train_cached_ms:>8.1} ms | infer {infer_batch_ms:>7.1} ms batch"
         );
 
-        total_before += train_legacy_ms + infer_legacy_seq_ms;
         total_after += train_cached_ms + infer_batch_ms;
         rows.push(ModelRow {
             name: name.to_string(),
             train_batches: report.batches,
             train_cached_ms,
-            legacy_feature_rebuild_ms,
-            train_legacy_ms,
-            infer_legacy_seq_ms,
             infer_batch_ms,
         });
     }
-
-    // The shared cache is built once for the whole lineup; charge it to
-    // the "after" total.
-    total_after += prepare_train_ms + prepare_test_ms;
 
     // Multi-model evaluation: the full train + score + metrics harness,
     // sequentially vs fanned across worker threads (fresh models each
@@ -299,9 +256,7 @@ fn main() {
         prepare_train_ms,
         prepare_test_ms,
         models: rows,
-        total_before_ms: total_before,
         total_after_ms: total_after,
-        speedup: total_before / total_after.max(1e-9),
         multi_model_seq_ms,
         multi_model_par_ms,
         multi_model_speedup: multi_model_seq_ms / multi_model_par_ms.max(1e-9),
@@ -314,8 +269,8 @@ fn main() {
     };
 
     println!(
-        "\nbefore {:.1} ms, after {:.1} ms, speedup {:.2}x ({} workers)",
-        report.total_before_ms, report.total_after_ms, report.speedup, report.worker_count
+        "\ntotal {:.1} ms ({} workers)",
+        report.total_after_ms, report.worker_count
     );
     println!(
         "multi-model eval: {:.1} ms sequential, {:.1} ms fanned, {:.2}x",

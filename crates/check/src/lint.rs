@@ -35,13 +35,13 @@
 //!   before its first code line (the workspace's `missing_docs`
 //!   equivalent for air-gapped builds).
 //! * `no-expect-in-serve` — no `.unwrap()` / `.expect(` in the
-//!   degradation-critical serving paths (`obs::serve`,
-//!   `exec::parallel`, and every file of `rapid-serve`'s request
-//!   path): these are exactly the paths that promise to survive
+//!   degradation-critical serving paths (`exec::parallel` and every
+//!   file of `rapid-serve`, whose transport also serves the telemetry
+//!   sidecar): these are exactly the paths that promise to survive
 //!   faults rather than panic, so even "can't happen" unwraps are
 //!   banned there independently of the hot-crate rule.
 //! * `trace-context-no-leak` — on the serving path (`rapid-serve`,
-//!   `obs::serve`, `exec::parallel`), a request-trace guard
+//!   `exec::parallel`), a request-trace guard
 //!   (`trace::start_request` / `trace::install`) must be held in a
 //!   named binding that lives for the request. Discarding it — a bare
 //!   statement or a `let _ =` binding — uninstalls the context before
@@ -49,7 +49,7 @@
 //!   context (or a dead connection) to the worker thread forever;
 //!   both corrupt tracing silently rather than loudly.
 //! * `bounded-queue` — no unbounded buffering primitives on the serve
-//!   request path (`rapid-serve`, `obs::serve`, `exec::parallel`):
+//!   request path (`rapid-serve`, `exec::parallel`):
 //!   `mpsc::channel` and `VecDeque` accept work without limit, which
 //!   under overload converts a shed-able burst into unbounded memory
 //!   and a collapsed p99. Use `mpsc::sync_channel` (whose send fails
@@ -148,42 +148,23 @@ const ENV_ALLOWED_FILES: [&str; 4] = [
     "crates/faults/src/lib.rs",
 ];
 
-/// Paths on the graceful-degradation serving path, where a panic means
-/// a dropped request instead of a failed unit test: `.unwrap()` /
+/// The serving path, scoping three rules. A panic there means a
+/// dropped request instead of a failed unit test, so `.unwrap()` /
 /// `.expect(` are banned outright (`no-expect-in-serve`), even where
-/// the hot-crate `no-unwrap` rule does not reach. Entries are matched
-/// as *prefixes*, so a directory entry (`crates/serve/src/`) covers
-/// every request-path function of that crate, including files added
-/// after this list was written.
-const SERVE_NO_EXPECT_PATHS: [&str; 3] = [
-    "crates/obs/src/serve.rs",
-    "crates/exec/src/parallel.rs",
-    "crates/serve/src/",
-];
-
-/// Paths where a request-trace context is minted or propagated
-/// (`trace-context-no-leak`): the same serving-path prefixes as
-/// `no-expect-in-serve`, because a leaked or dropped-on-arrival guard
-/// breaks exactly the requests those paths promise to keep whole.
-const TRACE_GUARD_PATHS: [&str; 3] = [
-    "crates/obs/src/serve.rs",
-    "crates/exec/src/parallel.rs",
-    "crates/serve/src/",
-];
+/// the hot-crate `no-unwrap` rule does not reach. A request-trace
+/// context is minted or propagated there, and a leaked or
+/// dropped-on-arrival guard breaks exactly the requests these paths
+/// promise to keep whole (`trace-context-no-leak`). And an unbounded
+/// queue there defeats load shedding — the burst that should have been
+/// refused with a `503` sits in memory instead, and every queued
+/// request's deadline expires before service (`bounded-queue`).
+/// Entries are matched as *prefixes*, so a directory entry
+/// (`crates/serve/src/`) covers every request-path function of that
+/// crate, including files added after this list was written.
+const SERVE_PATHS: [&str; 2] = ["crates/exec/src/parallel.rs", "crates/serve/src/"];
 
 /// Calls that return a trace guard whose `Drop` does the bookkeeping.
 const TRACE_GUARD_CALLS: [&str; 2] = ["start_request(", "trace::install("];
-
-/// Paths on the serve request path where buffering must be bounded
-/// (`bounded-queue`): the same prefixes as `no-expect-in-serve`,
-/// because an unbounded queue there defeats load shedding — the burst
-/// that should have been refused with a `503` sits in memory instead,
-/// and every queued request's deadline expires before service.
-const BOUNDED_QUEUE_PATHS: [&str; 3] = [
-    "crates/obs/src/serve.rs",
-    "crates/exec/src/parallel.rs",
-    "crates/serve/src/",
-];
 
 /// Constructors of buffering primitives with no capacity bound
 /// (matched without the opening paren so turbofish forms like
@@ -236,9 +217,7 @@ pub fn lint_source(path: &str, source: &str) -> Vec<Finding> {
     let env_needle: &str = concat!("std::en", "v::var");
 
     let unwrap_applies = HOT_CRATES.iter().any(|c| path.starts_with(c));
-    let serve_expect_applies = SERVE_NO_EXPECT_PATHS.iter().any(|p| path.starts_with(p));
-    let trace_leak_applies = TRACE_GUARD_PATHS.iter().any(|p| path.starts_with(p));
-    let bounded_queue_applies = BOUNDED_QUEUE_PATHS.iter().any(|p| path.starts_with(p));
+    let serve_applies = SERVE_PATHS.iter().any(|p| path.starts_with(p));
     let env_applies = !ENV_ALLOWED_FILES.contains(&path);
     let print_applies = PRINT_FREE_CRATES.iter().any(|c| path.starts_with(c));
     let clock_applies = !path.starts_with(CLOCK_ALLOWED_PREFIX);
@@ -330,7 +309,7 @@ pub fn lint_source(path: &str, source: &str) -> Vec<Finding> {
             }
         }
 
-        if serve_expect_applies && !allow("no-expect-in-serve") {
+        if serve_applies && !allow("no-expect-in-serve") {
             for needle in [".unwrap()", ".expect("] {
                 if code.contains(needle) {
                     findings.push(Finding {
@@ -347,7 +326,7 @@ pub fn lint_source(path: &str, source: &str) -> Vec<Finding> {
             }
         }
 
-        if trace_leak_applies && !allow("trace-context-no-leak") {
+        if serve_applies && !allow("trace-context-no-leak") {
             if code.contains("mem::forget(") {
                 findings.push(Finding {
                     path: path.to_string(),
@@ -383,7 +362,7 @@ pub fn lint_source(path: &str, source: &str) -> Vec<Finding> {
             }
         }
 
-        if bounded_queue_applies && !allow("bounded-queue") {
+        if serve_applies && !allow("bounded-queue") {
             for needle in UNBOUNDED_QUEUE_CALLS {
                 if code.contains(needle) {
                     findings.push(Finding {
@@ -713,24 +692,25 @@ mod tests {
     #[test]
     fn expect_banned_on_the_serving_path() {
         let src = "//! Doc.\nfn f() { x.unwrap(); y.expect(\"boom\"); }\n";
-        // serve.rs sits outside the hot crates, so only the new rule fires.
+        // telemetry.rs sits outside the hot crates, so only the serve
+        // rule fires.
         assert_eq!(
-            rules(&lint_source("crates/obs/src/serve.rs", src)),
+            rules(&lint_source("crates/serve/src/telemetry.rs", src)),
             vec!["no-expect-in-serve", "no-expect-in-serve"]
         );
         // parallel.rs is also a hot-crate file: both rules apply there.
         let found = rules(&lint_source("crates/exec/src/parallel.rs", src));
         assert!(found.contains(&"no-unwrap") && found.contains(&"no-expect-in-serve"));
-        // Other obs files stay exempt, as before.
+        // obs files are off the serving path.
         assert!(lint_source("crates/obs/src/registry.rs", src).is_empty());
         // Test modules and allow directives are honoured.
         let src = "//! Doc.\n#[cfg(test)]\nmod tests { fn f() { x.unwrap(); } }\n";
-        assert!(lint_source("crates/obs/src/serve.rs", src).is_empty());
+        assert!(lint_source("crates/serve/src/telemetry.rs", src).is_empty());
         let src = "//! Doc.\nfn f() { x.unwrap(); } // lint:allow(no-expect-in-serve) infallible\n";
-        assert!(lint_source("crates/obs/src/serve.rs", src).is_empty());
+        assert!(lint_source("crates/serve/src/telemetry.rs", src).is_empty());
         // `unwrap_or_else` is not `unwrap`.
         let src = "//! Doc.\nfn f() { m.lock().unwrap_or_else(|p| p.into_inner()); }\n";
-        assert!(lint_source("crates/obs/src/serve.rs", src).is_empty());
+        assert!(lint_source("crates/serve/src/telemetry.rs", src).is_empty());
     }
 
     #[test]

@@ -71,14 +71,12 @@ impl Pipeline {
     /// `feedback`, `features`) in the global `rapid-obs` registry, so
     /// pipeline start-up cost is attributable without ad-hoc timers.
     ///
-    /// When `RAPID_OBS_ADDR=host:port` is set, the first `prepare` call
-    /// also starts the live telemetry endpoint (`/metrics`, `/healthz`,
-    /// `/snapshot`) for the rest of the process. Likewise,
     /// `RAPID_FAULTS=<spec>` arms the chaos-injection plan for the whole
     /// run (see the `rapid-faults` crate), so replayable fault drills
-    /// need no code changes.
+    /// need no code changes. The live telemetry endpoint is not started
+    /// here: binaries that want it call
+    /// `rapid_serve::telemetry::install_from_env`.
     pub fn prepare(config: ExperimentConfig) -> Self {
-        rapid_obs::install_from_env();
         rapid_faults::init_from_env();
         let prepare_span = rapid_obs::Span::enter("prepare");
         let (ds, _) = rapid_obs::time("generate", || generate(&config.data));

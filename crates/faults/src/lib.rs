@@ -17,8 +17,7 @@
 //! | `train.loss`  | `TrainStep` loss read, before the finiteness guard    |
 //! | `ckpt.write`  | atomic checkpoint write, between tmp-fsync and rename |
 //! | `exec.chunk`  | start of every degraded parallel-map chunk (and retry)|
-//! | `obs.request` | telemetry server, per accepted connection             |
-//! | `serve.request` | `rapid-serve` API server, per parsed request        |
+//! | `serve.request` | `rapid-serve` API and telemetry servers, per parsed request |
 //! | `serve.slow`  | `rapid-serve` `/rerank` handler, before the model call|
 //! | `serve.overload` | `rapid-serve` admission gate (trips it saturated)  |
 //! | `ckpt.corrupt` | hot-swap loader, corrupts the candidate bytes read   |
@@ -56,12 +55,11 @@ use std::sync::Mutex;
 use std::time::Duration;
 
 /// Every site a helper in this workspace consults, for spec validation.
-pub const SITES: [&str; 9] = [
+pub const SITES: [&str; 8] = [
     "train.epoch",
     "train.loss",
     "ckpt.write",
     "exec.chunk",
-    "obs.request",
     "serve.request",
     "serve.slow",
     "serve.overload",
@@ -74,7 +72,7 @@ pub enum FaultAction {
     /// Panic with a `rapid-faults: injected panic` message.
     Panic,
     /// Return an injected `std::io::Error` from [`io_check`] (or drop
-    /// the connection at `obs.request`).
+    /// the connection at `serve.request`).
     IoError,
     /// Replace the value at the site with `f32::NAN` ([`inject_nan`]).
     Nan,
@@ -199,7 +197,7 @@ fn parse_action(s: &str) -> Result<FaultAction, String> {
 /// The site a bare action token (no `site=` prefix) applies to.
 fn default_site(action_str: &str) -> Result<&'static str, String> {
     if action_str.starts_with("delay:") {
-        return Ok("obs.request");
+        return Ok("serve.request");
     }
     if action_str.starts_with("crash-at-epoch:") {
         return Ok("train.epoch");
@@ -232,10 +230,8 @@ struct Active {
 
 static ACTIVE: Mutex<Option<Active>> = Mutex::new(None);
 
-/// Installs `plan` process-wide, replacing any previous plan, and hooks
-/// the telemetry server's request path so `obs.request` entries apply.
+/// Installs `plan` process-wide, replacing any previous plan.
 pub fn install(plan: FaultPlan) {
-    rapid_obs::serve::set_request_hook(Some(request_hook));
     let rng = splitmix(plan.seed);
     let mut guard = lock();
     *guard = Some(Active { plan, rng });
@@ -399,11 +395,6 @@ pub fn is_tripped(site: &str) -> bool {
     }
 }
 
-/// The hook [`install`] places into `rapid_obs::serve`.
-fn request_hook() -> bool {
-    should_drop("obs.request")
-}
-
 fn lock() -> std::sync::MutexGuard<'static, Option<Active>> {
     ACTIVE.lock().unwrap_or_else(|p| p.into_inner())
 }
@@ -505,13 +496,14 @@ mod tests {
         let plan = FaultPlan::parse("nan").unwrap();
         assert_eq!(plan.specs[0].site, "train.loss");
         let plan = FaultPlan::parse("delay:5").unwrap();
-        assert_eq!(plan.specs[0].site, "obs.request");
+        assert_eq!(plan.specs[0].site, "serve.request");
         assert_eq!(plan.specs[0].action, FaultAction::Delay(5));
     }
 
     #[test]
     fn parses_explicit_entries_probabilities_and_seed() {
-        let plan = FaultPlan::parse("exec.chunk=panic@0.25; seed=7, obs.request=delay:10").unwrap();
+        let plan =
+            FaultPlan::parse("exec.chunk=panic@0.25; seed=7, serve.request=delay:10").unwrap();
         assert_eq!(plan.seed, 7);
         assert_eq!(plan.specs.len(), 2);
         assert_eq!(plan.specs[0].site, "exec.chunk");
@@ -593,20 +585,15 @@ mod tests {
         let _g = locked();
         let _c = Cleared;
         install(
-            FaultPlan::parse(
-                "ckpt.write=io-error;train.loss=nan;obs.request=io-error;serve.request=io-error",
-            )
-            .unwrap(),
+            FaultPlan::parse("ckpt.write=io-error;train.loss=nan;serve.request=io-error").unwrap(),
         );
         let err = io_check("ckpt.write").unwrap_err();
         assert!(err.to_string().contains("injected I/O error"), "{err}");
         assert!(inject_nan("train.loss").is_some_and(f32::is_nan));
-        assert!(should_drop("obs.request"));
         assert!(should_drop("serve.request"));
         clear();
         assert!(io_check("ckpt.write").is_ok());
         assert!(inject_nan("train.loss").is_none());
-        assert!(!should_drop("obs.request"));
         assert!(!should_drop("serve.request"));
     }
 
@@ -638,8 +625,8 @@ mod tests {
         let _g = locked();
         let _c = Cleared;
         let decisions = |seed: u64| -> Vec<bool> {
-            install(FaultPlan::parse(&format!("obs.request=io-error@0.5;seed={seed}")).unwrap());
-            (0..64).map(|_| should_drop("obs.request")).collect()
+            install(FaultPlan::parse(&format!("serve.request=io-error@0.5;seed={seed}")).unwrap());
+            (0..64).map(|_| should_drop("serve.request")).collect()
         };
         let a = decisions(11);
         let b = decisions(11);

@@ -45,12 +45,10 @@
 //!   multi-window burn-rate math over the timeline ring
 //!   ([`evaluate_slos`]), rendered as JSON ([`slo_json`]) and
 //!   Prometheus gauges.
-//! * [`serve`] — a std-only HTTP endpoint (`/metrics`, `/healthz`,
-//!   `/snapshot`, `/trace`, `/slo`) on `std::net::TcpListener`, started
-//!   by binaries via [`install_from_env`] when `RAPID_OBS_ADDR` is set.
 //! * Config knobs — [`diag_enabled`] (`RAPID_DIAG`), [`out_dir`]
 //!   (`RAPID_OUT_DIR`, default `results`), [`serve_addr`]
-//!   (`RAPID_OBS_ADDR`), [`trace_enabled`] (`RAPID_TRACE`, default on),
+//!   (`RAPID_OBS_ADDR`, the address `rapid_serve::telemetry` serves
+//!   these snapshots on), [`trace_enabled`] (`RAPID_TRACE`, default on),
 //!   [`trace_sample`] (`RAPID_TRACE_SAMPLE`), and [`trace_tail_ms`]
 //!   (`RAPID_TRACE_TAIL_MS`), each with a programmatic override for
 //!   CLI flags and tests.
@@ -67,7 +65,6 @@ mod hist;
 mod ndjson;
 mod prom;
 mod registry;
-pub mod serve;
 pub mod slo;
 mod span;
 mod timeline;
@@ -84,6 +81,5 @@ pub use ndjson::ParseError;
 pub use registry::{
     global, EventRecord, Exemplar, Registry, Snapshot, SpanStat, TimelineEvent, TraceStage,
 };
-pub use serve::{install_from_env, set_request_hook, ServeHandle};
 pub use slo::{evaluate_slos, slo_json, SloDef, SloStatus, SloWindow};
 pub use span::{time, time_in, Span};

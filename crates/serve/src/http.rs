@@ -18,9 +18,9 @@
 use std::io::Read;
 use std::net::TcpStream;
 
-/// Hard cap on request-line + header bytes, mirroring
-/// `rapid_obs::serve::MAX_HEADER_BYTES`: no legitimate client of this
-/// API sends 8 KiB of headers, and the cap bounds hostile buffering.
+/// Hard cap on request-line + header bytes (`431` beyond it): no
+/// legitimate client of the API or telemetry routes sends 8 KiB of
+/// headers, and the cap bounds hostile buffering.
 pub const MAX_HEADER_BYTES: usize = 8 * 1024;
 
 /// One parsed request frame.

@@ -30,8 +30,12 @@
 //!   initial-ranker → RAPID rankings through the `rapid-exec` degraded
 //!   batch path.
 //! * [`server`] — routes `/events`, `/rerank`, `/aggregates`,
-//!   `/metrics`, `/healthz`, `/snapshot`, `/admin/reload`; every
-//!   request passes the `serve.request` chaos site.
+//!   `/admin/reload`; every request passes the `serve.request` chaos
+//!   site.
+//! * [`telemetry`] — `/healthz`, `/metrics`, `/snapshot`, `/trace`,
+//!   `/slo`, answered by the API server and, through the same
+//!   transport, by the `RAPID_OBS_ADDR` sidecar
+//!   ([`telemetry::install_from_env`]).
 //! * [`client`] / [`loadgen`] — the in-process HTTP client (plus the
 //!   retrying wrapper) and the seeded open-loop load generator behind
 //!   `bench_serve`.
@@ -65,6 +69,7 @@ pub mod model;
 pub mod server;
 pub mod state;
 pub mod swap;
+pub mod telemetry;
 
 pub use admission::{Gate, Permit, ResilienceConfig};
 pub use backoff::{RetryPolicy, RetryState};

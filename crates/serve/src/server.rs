@@ -1,18 +1,19 @@
 //! The online API server: polled accept loop, a bounded connection
 //! queue, a small worker pool, and the routes (`/events`, `/rerank`,
-//! `/aggregates`, `/metrics`, `/healthz`, `/snapshot`, `/slo`,
-//! `/admin/reload`).
+//! `/aggregates`, `/admin/reload`, plus the telemetry routes of
+//! [`crate::telemetry`]).
 //!
-//! The transport follows the hardened `rapid_obs::serve` pattern — a
-//! nonblocking listener polled every 10 ms under a stop flag, per-stream
-//! read/write timeouts, bounded headers and bodies — extended with POST
-//! bodies, keep-alive connections, and a worker pool so one slow client
-//! cannot stall ingestion. Every parsed request passes the
-//! `serve.request` fault site (`rapid_faults::should_drop`): an armed
-//! `io-error` drops the connection, `delay` stalls it, and `panic` is
-//! caught by the per-request `catch_unwind` and answered as a 500 with
-//! the server still up — the same chaos contract as the telemetry
-//! server.
+//! The transport is the crate's only HTTP listener: a nonblocking
+//! listener polled every 10 ms under a stop flag, per-stream read/write
+//! timeouts, bounded headers and bodies, POST bodies, keep-alive
+//! connections, and a worker pool so one slow client cannot stall
+//! ingestion. It is generic over the router, so the same code serves
+//! this API ([`start`]) and the telemetry-only sidecar
+//! ([`crate::telemetry::install_from_env`]). Every parsed request passes
+//! the `serve.request` fault site (`rapid_faults::should_drop`): an
+//! armed `io-error` drops the connection, `delay` stalls it, and `panic`
+//! is caught by the per-request `catch_unwind` and answered as a 500
+//! with the server still up.
 //!
 //! Overload resilience (DESIGN.md "Overload & degradation ladder"):
 //!
@@ -79,8 +80,9 @@ use crate::http::{
 use crate::model::{RerankError, ServeModel};
 use crate::state::UserStore;
 use crate::swap::{hot_swap, ModelSlot, SwapError};
+use crate::telemetry;
 
-/// Listener poll cadence while idle (matches `rapid_obs::serve`).
+/// Listener poll cadence while idle.
 const POLL_INTERVAL: Duration = Duration::from_millis(10);
 
 /// Per-stream read/write timeout. Also bounds how long a worker waits
@@ -257,6 +259,10 @@ struct QueuedConn {
     enqueued: std::time::Instant,
 }
 
+/// Every route of the API server, as its 404 body lists them.
+const API_ROUTES: &str =
+    "/events /rerank /aggregates /admin/reload /healthz /metrics /snapshot /trace /slo";
+
 /// Binds and starts the server over `state`.
 ///
 /// # Errors
@@ -266,35 +272,54 @@ pub fn start(state: Arc<AppState>, cfg: &ServerConfig) -> std::io::Result<ServeH
     // Publish the breaker's initial (closed) state so the gauge exists
     // before the first transition.
     rapid_obs::global().gauge_set("serve.breaker_state", state.breaker.state().gauge());
+    let handle = listen(cfg, state.resilience, move |request, trace, deadline| {
+        route(request, &state, trace, deadline)
+    })?;
+    rapid_obs::event!(
+        rapid_obs::Level::Info,
+        "serve",
+        "serving {API_ROUTES} on http://{}",
+        handle.addr()
+    );
+    Ok(handle)
+}
+
+/// The transport both routers share: binds `cfg.addr`, feeds accepted
+/// connections through the bounded queue to `cfg.workers` workers, and
+/// answers each framed request with `route`. `resilience` supplies the
+/// default request deadline and the `Retry-After` of accept-time sheds.
+pub(crate) fn listen<R>(
+    cfg: &ServerConfig,
+    resilience: ResilienceConfig,
+    route: R,
+) -> std::io::Result<ServeHandle>
+where
+    R: Fn(&Request, &mut rapid_obs::trace::TraceGuard, &Deadline) -> Reply + Send + Sync + 'static,
+{
     let listener = TcpListener::bind(&cfg.addr)?;
     listener.set_nonblocking(true)?;
     let addr = listener.local_addr()?;
     let stop = Arc::new(AtomicBool::new(false));
     let (tx, rx) = mpsc::sync_channel::<QueuedConn>(cfg.queue_capacity.max(1));
     let rx = Arc::new(Mutex::new(rx));
+    let route = Arc::new(route);
 
     let mut threads = Vec::with_capacity(cfg.workers + 1);
     for _ in 0..cfg.workers.max(1) {
         let rx = Arc::clone(&rx);
-        let state = Arc::clone(&state);
+        let route = Arc::clone(&route);
         let stop = Arc::clone(&stop);
         let max_body = cfg.max_body;
         threads.push(std::thread::spawn(move || {
-            worker_loop(&rx, &state, &stop, max_body)
+            worker_loop(&rx, &*route, &stop, max_body, resilience.deadline_ms)
         }));
     }
     {
         let stop = Arc::clone(&stop);
-        let retry_after_s = state.resilience.retry_after_s;
         threads.push(std::thread::spawn(move || {
-            accept_loop(&listener, &tx, &stop, retry_after_s);
+            accept_loop(&listener, &tx, &stop, resilience.retry_after_s);
         }));
     }
-    rapid_obs::event!(
-        rapid_obs::Level::Info,
-        "serve",
-        "serving /events /rerank /aggregates /metrics /healthz /snapshot /slo /admin/reload on http://{addr}"
-    );
     Ok(ServeHandle {
         addr,
         stop,
@@ -361,12 +386,15 @@ fn shed_at_accept(mut stream: TcpStream, retry_after_s: u64) {
     let _ = stream.write_all(&bytes);
 }
 
-fn worker_loop(
+fn worker_loop<R>(
     rx: &Mutex<mpsc::Receiver<QueuedConn>>,
-    state: &AppState,
+    route: &R,
     stop: &AtomicBool,
     max_body: usize,
-) {
+    deadline_ms: u64,
+) where
+    R: Fn(&Request, &mut rapid_obs::trace::TraceGuard, &Deadline) -> Reply,
+{
     while !stop.load(Ordering::SeqCst) {
         let next = {
             let guard = match rx.lock() {
@@ -378,7 +406,7 @@ fn worker_loop(
         match next {
             Ok(conn) => {
                 let waited = conn.enqueued.elapsed();
-                handle_connection(conn.stream, state, stop, max_body, waited);
+                handle_connection(conn.stream, route, stop, max_body, deadline_ms, waited);
             }
             Err(mpsc::RecvTimeoutError::Timeout) => {}
             Err(mpsc::RecvTimeoutError::Disconnected) => return,
@@ -389,7 +417,7 @@ fn worker_loop(
 /// One handler response plus the resilience metadata the transport
 /// layer needs: whether this was a shed (excluded from the SLO error
 /// numerator) and the `Retry-After` hint to attach.
-struct Reply {
+pub(crate) struct Reply {
     status: &'static str,
     content_type: &'static str,
     body: String,
@@ -398,7 +426,7 @@ struct Reply {
 }
 
 impl Reply {
-    fn new(status: &'static str, content_type: &'static str, body: String) -> Self {
+    pub(crate) fn new(status: &'static str, content_type: &'static str, body: String) -> Self {
         Self {
             status,
             content_type,
@@ -423,16 +451,20 @@ impl Reply {
 }
 
 /// Serves one (possibly keep-alive) connection until the peer closes,
-/// framing fails, or the server stops. `queue_wait` is charged against
-/// the first request's deadline — time spent queued is budget already
-/// gone.
-fn handle_connection(
+/// framing fails, or the server stops. A request's budget is its
+/// `X-Rapid-Deadline-Ms` or `deadline_ms`; `queue_wait` is charged
+/// against the first request's deadline — time spent queued is budget
+/// already gone.
+fn handle_connection<R>(
     mut stream: TcpStream,
-    state: &AppState,
+    route: &R,
     stop: &AtomicBool,
     max_body: usize,
+    deadline_ms: u64,
     queue_wait: Duration,
-) {
+) where
+    R: Fn(&Request, &mut rapid_obs::trace::TraceGuard, &Deadline) -> Reply,
+{
     let mut conn = ConnBuf::new();
     let mut queue_wait = Some(queue_wait);
     while !stop.load(Ordering::SeqCst) {
@@ -487,18 +519,13 @@ fn handle_connection(
         // The request's budget: the client's header, or the server
         // default. The first request on a connection pays for its time
         // in the accept queue.
-        let budget_ms = request
-            .deadline_ms
-            .unwrap_or(state.resilience.deadline_ms)
-            .max(1);
+        let budget_ms = request.deadline_ms.unwrap_or(deadline_ms).max(1);
         let deadline = Deadline::after_wait(budget_ms, queue_wait.take().unwrap_or_default());
 
         let keep_alive = request.keep_alive;
         let r0 = rapid_obs::clock::now();
         let r0_us = rapid_obs::clock::wall_micros();
-        let handled = catch_unwind(AssertUnwindSafe(|| {
-            route(&request, state, &mut trace, &deadline)
-        }));
+        let handled = catch_unwind(AssertUnwindSafe(|| route(&request, &mut trace, &deadline)));
         rapid_obs::trace::record_stage("serve/route", r0_us, r0.elapsed());
         match handled {
             Ok(reply) => {
@@ -572,6 +599,7 @@ fn request_key(request: Option<&Request>) -> &'static str {
         Some("/metrics") => "metrics",
         Some("/healthz") => "healthz",
         Some("/snapshot") => "snapshot",
+        Some("/trace") => "trace",
         Some("/slo") => "slo",
         Some("/admin/reload") => "reload",
         _ => "other",
@@ -608,7 +636,8 @@ fn admit<'a>(
     }
 }
 
-/// Dispatches one parsed request to its handler. `trace` is this
+/// Dispatches one parsed request to its handler; anything that is not
+/// an API route falls through to the telemetry router. `trace` is this
 /// request's live guard; handlers that want tail-exemplar capture arm
 /// it here. `deadline` is the request's remaining budget (queue wait
 /// already charged).
@@ -619,41 +648,15 @@ fn route(
     deadline: &Deadline,
 ) -> Reply {
     match (request.method.as_str(), request.path.as_str()) {
-        ("GET", "/healthz") => Reply::new(
-            "200 OK",
-            "text/plain; charset=utf-8",
-            "ok\n".to_string(),
-        ),
-        ("GET", "/metrics") => Reply::new(
-            "200 OK",
-            "text/plain; version=0.0.4; charset=utf-8",
-            rapid_obs::global().snapshot().to_prometheus(),
-        ),
-        ("GET", "/snapshot") => Reply::new(
-            "200 OK",
-            "application/x-ndjson",
-            rapid_obs::global().snapshot().to_ndjson(),
-        ),
-        ("GET", "/aggregates") => {
-            Reply::new("200 OK", "application/json", aggregates_body(state))
-        }
+        ("GET", "/aggregates") => Reply::new("200 OK", "application/json", aggregates_body(state)),
         ("GET", "/slo") => Reply::new("200 OK", "application/json", slo_body(state)),
         ("POST", "/events") => handle_events(request, state),
         ("POST", "/rerank") => handle_rerank(request, state, trace, deadline),
         ("POST", "/admin/reload") => handle_reload(request, state),
-        ("GET", "/events" | "/rerank" | "/admin/reload")
-        | ("POST", "/healthz" | "/metrics" | "/snapshot" | "/aggregates" | "/slo") => Reply::new(
-            "405 Method Not Allowed",
-            "application/json",
-            api::error_body("method not allowed"),
-        ),
-        _ => Reply::new(
-            "404 Not Found",
-            "application/json",
-            api::error_body(
-                "not found; try /events /rerank /aggregates /metrics /healthz /snapshot /slo /admin/reload",
-            ),
-        ),
+        (_, "/events" | "/rerank" | "/aggregates" | "/admin/reload") => {
+            telemetry::method_not_allowed()
+        }
+        _ => telemetry::route(request, API_ROUTES),
     }
 }
 

@@ -1,10 +1,11 @@
 //! End-to-end API tests against a live server: happy paths, hostile
 //! HTTP input (oversized body, truncated JSON, unknown users, replayed
-//! events), and a raw-bytes fuzz pass in the PR-5 hostile-bytes style.
+//! events), a raw-bytes fuzz pass, and the telemetry-only sidecar that
+//! runs on the same transport.
 
 use std::io::{Read, Write};
 use std::net::{SocketAddr, TcpStream};
-use std::sync::OnceLock;
+use std::sync::{OnceLock, RwLock, RwLockReadGuard};
 
 use proptest::prelude::*;
 use rapid_serve::{start, AppState, Client, ServeConfig, ServeModel, ServerConfig};
@@ -16,6 +17,15 @@ fn tiny_config() -> ServeConfig {
         epochs: 1,
         ..ServeConfig::default()
     }
+}
+
+/// The `serve.request` fault plan is process-global, so a test that
+/// arms it takes this lock exclusively; every other test holds it
+/// shared while it talks to a server.
+static FAULTS: RwLock<()> = RwLock::new(());
+
+fn shared() -> RwLockReadGuard<'static, ()> {
+    FAULTS.read().unwrap_or_else(|p| p.into_inner())
 }
 
 /// One shared server for the whole test binary (training the artifact
@@ -42,6 +52,7 @@ fn server_addr() -> SocketAddr {
 
 #[test]
 fn healthz_metrics_and_snapshot_respond() {
+    let _live = shared();
     let mut c = Client::new(server_addr());
     let health = c.get("/healthz").unwrap();
     assert_eq!((health.status, health.body.as_str()), (200, "ok\n"));
@@ -53,10 +64,14 @@ fn healthz_metrics_and_snapshot_respond() {
         snapshot.body.contains("\"type\":\"meta\""),
         "snapshot must be registry NDJSON"
     );
+    let trace = c.get("/trace").unwrap();
+    assert_eq!(trace.status, 200);
+    assert!(trace.body.contains("\"traceEvents\""), "{}", trace.body);
 }
 
 #[test]
 fn events_then_rerank_round_trip() {
+    let _live = shared();
     let mut c = Client::new(server_addr());
     let r = c
         .post(
@@ -83,6 +98,7 @@ fn events_then_rerank_round_trip() {
 
 #[test]
 fn tiny_client_deadlines_degrade_per_request_without_tripping_the_breaker() {
+    let _live = shared();
     let mut c = Client::new(server_addr());
     // A 3 ms budget can never afford the full tier (FULL_FLOOR_MS = 5),
     // so every one of these steps down the ladder — but a client-chosen
@@ -126,6 +142,7 @@ fn tiny_client_deadlines_degrade_per_request_without_tripping_the_breaker() {
 
 #[test]
 fn invalid_k_is_a_400_before_the_model_path() {
+    let _live = shared();
     let mut c = Client::new(server_addr());
     let r = c.post("/rerank", r#"{"user": 1, "k": 0}"#).unwrap();
     assert_eq!(r.status, 400, "{}", r.body);
@@ -138,6 +155,7 @@ fn invalid_k_is_a_400_before_the_model_path() {
 
 #[test]
 fn replayed_events_are_detected_not_reapplied() {
+    let _live = shared();
     let mut c = Client::new(server_addr());
     let body = r#"{"user": 7700, "item": 5, "click": true, "seq": 10}"#;
     let first = c.post("/events", body).unwrap();
@@ -152,6 +170,7 @@ fn replayed_events_are_detected_not_reapplied() {
 
 #[test]
 fn unknown_user_is_a_cold_start_200() {
+    let _live = shared();
     let mut c = Client::new(server_addr());
     let r = c
         .post("/rerank", r#"{"user": 18446744073709551615}"#)
@@ -163,6 +182,7 @@ fn unknown_user_is_a_cold_start_200() {
 
 #[test]
 fn rerank_determinism_over_http() {
+    let _live = shared();
     let mut c = Client::new(server_addr());
     let a = c.post("/rerank", r#"{"user": 31337}"#).unwrap();
     let b = c.post("/rerank", r#"{"user": 31337}"#).unwrap();
@@ -181,6 +201,7 @@ fn rerank_determinism_over_http() {
 
 #[test]
 fn truncated_json_and_bad_fields_get_400() {
+    let _live = shared();
     let mut c = Client::new(server_addr());
     for body in [
         r#"{"user": 1, "ite"#,
@@ -204,15 +225,27 @@ fn truncated_json_and_bad_fields_get_400() {
 
 #[test]
 fn unknown_paths_and_wrong_methods_are_refused() {
+    let _live = shared();
     let mut c = Client::new(server_addr());
-    assert_eq!(c.get("/nope").unwrap().status, 404);
+    let missing = c.get("/nope").unwrap();
+    assert_eq!(missing.status, 404);
+    for route in ["/events", "/rerank", "/aggregates", "/trace", "/slo"] {
+        assert!(
+            missing.body.contains(route),
+            "404 must list {route}: {}",
+            missing.body
+        );
+    }
     assert_eq!(c.get("/rerank").unwrap().status, 405);
     assert_eq!(c.post("/healthz", "{}").unwrap().status, 405);
     assert_eq!(c.post("/slo", "{}").unwrap().status, 405);
+    assert_eq!(c.post("/trace", "{}").unwrap().status, 405);
+    assert_eq!(c.post("/aggregates", "{}").unwrap().status, 405);
 }
 
 #[test]
 fn responses_carry_a_fresh_trace_id_per_request() {
+    let _live = shared();
     let mut c = Client::new(server_addr());
     let a = c.post("/rerank", r#"{"user": 4242}"#).unwrap();
     let b = c.post("/rerank", r#"{"user": 4242}"#).unwrap();
@@ -229,6 +262,7 @@ fn responses_carry_a_fresh_trace_id_per_request() {
 
 #[test]
 fn slo_route_reports_the_rerank_objectives() {
+    let _live = shared();
     let mut c = Client::new(server_addr());
     // Put at least one request on the SLO substrate first.
     c.post("/rerank", r#"{"user": 606}"#).unwrap();
@@ -281,6 +315,7 @@ fn slo_route_reports_the_rerank_objectives() {
 
 #[test]
 fn oversized_body_is_rejected_with_413() {
+    let _live = shared();
     // Raw socket: declare a body far over the server cap. The refusal
     // must arrive *without* the server reading 2 MiB first.
     let mut s = TcpStream::connect(server_addr()).unwrap();
@@ -293,6 +328,7 @@ fn oversized_body_is_rejected_with_413() {
 
 #[test]
 fn truncated_body_is_rejected_with_400() {
+    let _live = shared();
     let mut s = TcpStream::connect(server_addr()).unwrap();
     s.write_all(b"POST /events HTTP/1.1\r\nContent-Length: 50\r\n\r\n{\"user\":")
         .unwrap();
@@ -305,6 +341,7 @@ fn truncated_body_is_rejected_with_400() {
 
 #[test]
 fn aggregates_expose_serve_state_as_json() {
+    let _live = shared();
     let mut c = Client::new(server_addr());
     // Make sure at least one event and one rerank happened first.
     c.post("/events", r#"{"user": 555, "item": 1}"#).unwrap();
@@ -331,6 +368,110 @@ fn aggregates_expose_serve_state_as_json() {
     assert!(http.field("rerank.200").unwrap().as_u64().unwrap() >= 1);
 }
 
+/// The `RAPID_OBS_ADDR` sidecar: the telemetry routes alone, through
+/// the API server's transport and its hardening.
+#[test]
+fn telemetry_sidecar_serves_only_the_telemetry_routes() {
+    let _exclusive = FAULTS.write().unwrap_or_else(|p| p.into_inner());
+    let reg = rapid_obs::global();
+    reg.counter_add("sidecar.test", 3);
+    reg.record_span_timed("sidecar/span", std::time::Duration::from_micros(42), 0, 1);
+    reg.declare_slo(rapid_obs::SloDef {
+        name: "sidecar_latency".to_string(),
+        path: "req/sidecar".to_string(),
+        threshold_ms: 50.0,
+        objective: 0.99,
+        windows_s: vec![60],
+    });
+    rapid_obs::set_serve_addr(Some("127.0.0.1:0".to_string()));
+    let addr = rapid_serve::telemetry::install_from_env().expect("the sidecar binds");
+    assert_eq!(
+        rapid_serve::telemetry::install_from_env(),
+        Some(addr),
+        "starts once"
+    );
+    // A fresh connection per request, as curl and scrapers do: the one
+    // worker is then never parked on an idle keep-alive connection.
+    let get = |path: &str| Client::new(addr).get(path);
+
+    let health = get("/healthz").unwrap();
+    assert_eq!((health.status, health.body.as_str()), (200, "ok\n"));
+    let metrics = get("/metrics").unwrap();
+    assert_eq!(metrics.status, 200);
+    assert!(
+        metrics
+            .body
+            .contains("rapid_counter_total{name=\"sidecar.test\"} 3"),
+        "{}",
+        metrics.body
+    );
+    let snapshot = get("/snapshot").unwrap();
+    assert_eq!(snapshot.status, 200);
+    assert!(
+        snapshot.body.contains("\"type\":\"meta\""),
+        "{}",
+        snapshot.body
+    );
+    let trace = get("/trace").unwrap();
+    assert_eq!(trace.status, 200);
+    assert!(trace.body.contains("\"traceEvents\""), "{}", trace.body);
+    assert!(trace.body.contains("sidecar/span"), "{}", trace.body);
+    let slo = get("/slo").unwrap();
+    assert_eq!(slo.status, 200);
+    assert!(serde_json::parse_value(&slo.body).is_ok(), "{}", slo.body);
+    assert!(
+        slo.body.contains("\"name\":\"sidecar_latency\""),
+        "{}",
+        slo.body
+    );
+
+    // Query strings still route; the API routes are not served here.
+    assert_eq!(get("/healthz?probe=1").unwrap().status, 200);
+    assert_eq!(
+        Client::new(addr)
+            .post("/rerank", r#"{"user": 1}"#)
+            .unwrap()
+            .status,
+        404
+    );
+    assert_eq!(
+        Client::new(addr).post("/metrics", "{}").unwrap().status,
+        405
+    );
+    let missing = get("/aggregates").unwrap();
+    assert_eq!(missing.status, 404);
+    for route in ["/healthz", "/metrics", "/snapshot", "/trace", "/slo"] {
+        assert!(
+            missing.body.contains(route),
+            "404 must list {route}: {}",
+            missing.body
+        );
+    }
+
+    // Oversized headers get a 431: exactly one byte over the cap and no
+    // terminator, so the server has read every byte when it answers.
+    let mut raw = b"GET /healthz HTTP/1.1\r\nX-Pad: ".to_vec();
+    raw.resize(rapid_serve::http::MAX_HEADER_BYTES + 1, b'a');
+    let mut s = TcpStream::connect(addr).unwrap();
+    s.write_all(&raw).unwrap();
+    let mut response = String::new();
+    let _ = s.read_to_string(&mut response);
+    assert!(response.starts_with("HTTP/1.1 431"), "{response}");
+
+    // The `serve.request` fault site: io-error drops the connection,
+    // panic answers 500.
+    rapid_faults::install(rapid_faults::FaultPlan::parse("serve.request=io-error").unwrap());
+    let dropped = get("/healthz");
+    rapid_faults::install(rapid_faults::FaultPlan::parse("serve.request=panic").unwrap());
+    let panicked = get("/healthz");
+    rapid_faults::clear();
+    assert!(dropped.is_err(), "io-error must drop: {dropped:?}");
+    assert_eq!(panicked.unwrap().status, 500);
+
+    // The server survived all of it.
+    assert_eq!(get("/healthz").unwrap().status, 200);
+}
+
 proptest! {
     /// Arbitrary bytes thrown at the socket must never take the server
     /// down: after each volley, a fresh health check still answers.
@@ -338,6 +479,7 @@ proptest! {
     fn hostile_raw_bytes_never_kill_the_server(
         raw in proptest::collection::vec(0u32..256, 0..600),
     ) {
+        let _live = shared();
         let addr = server_addr();
         let bytes: Vec<u8> = raw.iter().map(|&b| b as u8).collect();
         if let Ok(mut s) = TcpStream::connect(addr) {
