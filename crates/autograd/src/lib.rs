@@ -12,8 +12,16 @@
 //!   pass; [`Var`] is an index into it. Each node stores its value, an op
 //!   tag ([`op::Op`]) naming how it was computed, and its parents.
 //! * [`ParamStore`] — named trainable parameters living *outside* the
-//!   tape. A fresh tape is built per training step; parameter leaves are
-//!   bound by id and gradients are accumulated back into the store.
+//!   tape. A fresh tape is built per training step; each parameter is
+//!   bound by id as one leaf per tape generation and its gradient is
+//!   accumulated back into the store.
+//! * Gradient cone — each node records whether it needs a gradient (it
+//!   is a parameter leaf or has a parent that does). Backward visits
+//!   only those ancestors of the loss and computes no gradient for a
+//!   constant operand.
+//! * [`Tape::lstm_cell`] — one fused node per LSTM step with a
+//!   hand-written backward, in place of the ~15 matmul/slice/activation
+//!   nodes of the unfused cell.
 //! * [`optim`] — SGD and Adam. Adam carries an always-on non-finite
 //!   gradient guard that aborts the run naming the offending parameter
 //!   instead of corrupting every weight it touches.

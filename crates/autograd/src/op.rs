@@ -65,6 +65,25 @@ pub enum Op {
     /// Mean pairwise logistic loss over (positive, negative) label pairs
     /// of a score vector.
     PairwiseLogistic { scores: Var, labels: Vec<f32> },
+    /// One LSTM step; the value is `[h′ | c′]` (`(B, 2h)`). Boxed so the
+    /// step's seven fields do not widen every tape node.
+    LstmCell(Box<LstmStep>),
+}
+
+/// Operands and saved activations of an [`Op::LstmCell`] step, gate
+/// order `[i, f, g, o]`: `x (B, in)`, `h` and `c (B, h)`, `w (in, 4h)`,
+/// `u (h, 4h)`, `b (1, 4h)`.
+#[derive(Debug, Clone)]
+pub struct LstmStep {
+    pub x: Var,
+    pub h: Var,
+    pub c: Var,
+    pub w: Var,
+    pub u: Var,
+    pub b: Var,
+    /// `(B, 5h)`: the activated `[i, f, g, o]` and `tanh(c′)`, which the
+    /// backward rule reads.
+    pub gates: Matrix,
 }
 
 impl Op {
@@ -98,20 +117,25 @@ impl Op {
             Op::BceWithLogits { .. } => "bce_with_logits",
             Op::Mse { .. } => "mse",
             Op::PairwiseLogistic { .. } => "pairwise_logistic",
+            Op::LstmCell(..) => "lstm_cell",
         }
     }
 
-    /// Parents of this node, in order.
-    pub fn parents(&self) -> Vec<Var> {
+    /// Calls `f` on each parent, in order, without allocating (the tape
+    /// runs this on every push).
+    pub fn for_each_parent(&self, mut f: impl FnMut(Var)) {
         match self {
-            Op::Leaf => vec![],
+            Op::Leaf => {}
             Op::MatMul(a, b)
             | Op::Add(a, b)
             | Op::Sub(a, b)
             | Op::Mul(a, b)
             | Op::AddRowBroadcast(a, b)
             | Op::MulRowBroadcast(a, b)
-            | Op::MulColBroadcast(a, b) => vec![*a, *b],
+            | Op::MulColBroadcast(a, b) => {
+                f(*a);
+                f(*b);
+            }
             Op::Transpose(a)
             | Op::Scale(a, _)
             | Op::AddScalar(a, _)
@@ -124,11 +148,19 @@ impl Op {
             | Op::SliceCols(a, _, _)
             | Op::SliceRows(a, _, _)
             | Op::SumAll(a)
-            | Op::MeanAll(a) => vec![*a],
-            Op::ConcatCols(vs) | Op::ConcatRows(vs) => vs.clone(),
-            Op::BceWithLogits { logits, .. } => vec![*logits],
-            Op::Mse { pred, .. } => vec![*pred],
-            Op::PairwiseLogistic { scores, .. } => vec![*scores],
+            | Op::MeanAll(a) => f(*a),
+            Op::ConcatCols(vs) | Op::ConcatRows(vs) => vs.iter().copied().for_each(f),
+            Op::BceWithLogits { logits, .. } => f(*logits),
+            Op::Mse { pred, .. } => f(*pred),
+            Op::PairwiseLogistic { scores, .. } => f(*scores),
+            Op::LstmCell(s) => [s.x, s.h, s.c, s.w, s.u, s.b].into_iter().for_each(f),
         }
+    }
+
+    /// Parents of this node, in order.
+    pub fn parents(&self) -> Vec<Var> {
+        let mut out = Vec::new();
+        self.for_each_parent(|p| out.push(p));
+        out
     }
 }

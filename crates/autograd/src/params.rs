@@ -1,5 +1,7 @@
 //! Trainable parameter storage shared across training steps.
 
+use std::sync::atomic::{AtomicU64, Ordering};
+
 use rapid_tensor::Matrix;
 
 /// Opaque handle to a parameter inside a [`ParamStore`].
@@ -29,15 +31,46 @@ struct Param {
 /// Parameters outlive any single [`crate::Tape`]: a fresh tape is recorded
 /// for each forward/backward pass, while values and gradient accumulators
 /// stay here. Optimizers ([`crate::optim`]) update the store in place.
-#[derive(Debug, Clone, Default)]
+#[derive(Debug)]
 pub struct ParamStore {
     params: Vec<Param>,
+    /// Process-unique identity, so a tape can refuse to mix bindings
+    /// from two stores (a clone is a different store).
+    uid: u64,
+}
+
+fn next_uid() -> u64 {
+    static NEXT: AtomicU64 = AtomicU64::new(0);
+    NEXT.fetch_add(1, Ordering::Relaxed)
+}
+
+impl Default for ParamStore {
+    fn default() -> Self {
+        Self {
+            params: Vec::new(),
+            uid: next_uid(),
+        }
+    }
+}
+
+impl Clone for ParamStore {
+    fn clone(&self) -> Self {
+        Self {
+            params: self.params.clone(),
+            uid: next_uid(),
+        }
+    }
 }
 
 impl ParamStore {
     /// Creates an empty store.
     pub fn new() -> Self {
         Self::default()
+    }
+
+    /// This store's process-unique identity.
+    pub(crate) fn uid(&self) -> u64 {
+        self.uid
     }
 
     /// Registers a new parameter initialised to `value`.

@@ -1,11 +1,11 @@
 //! The recording tape: forward-pass graph construction and the reverse
 //! sweep.
 
-use crate::op::Op;
+use crate::op::{LstmStep, Op};
 use crate::params::{ParamId, ParamStore};
 #[cfg(feature = "obs-profile")]
 use crate::profile::TapeProfiler;
-use rapid_tensor::Matrix;
+use rapid_tensor::{stable_sigmoid, Matrix};
 
 /// Index of a node on a [`Tape`].
 ///
@@ -54,6 +54,9 @@ struct Node {
     op: Op,
     /// `Some` when this leaf is bound to a trainable parameter.
     param: Option<ParamId>,
+    /// Set at record time: the node is a parameter leaf or has a parent
+    /// that needs a gradient. Backward skips every other node.
+    needs_grad: bool,
 }
 
 /// A single forward pass recorded as a flat arena of nodes.
@@ -67,6 +70,10 @@ pub struct Tape {
     /// Generation counter, bumped by [`Tape::clear`]. Stamped into
     /// `Var`s in debug builds to catch use-after-clear.
     epoch: u64,
+    /// `bound[id]`: the node holding parameter `id` in this generation.
+    bound: Vec<Option<usize>>,
+    /// Identity of the store this generation's parameters come from.
+    bound_store: Option<u64>,
     /// Per-op forward/backward timing, flushed to the global `rapid-obs`
     /// registry on [`Tape::clear`] and on drop.
     #[cfg(feature = "obs-profile")]
@@ -107,10 +114,15 @@ impl Tape {
     /// are stale, and (in debug builds) any use of one afterwards panics
     /// immediately instead of reading whatever node later occupies the
     /// same index.
+    ///
+    /// It also forgets the parameter bindings: the next
+    /// [`Tape::param`] copies the store's current value again.
     pub fn clear(&mut self) {
         #[cfg(feature = "obs-profile")]
         self.profiler.flush();
         self.nodes.clear();
+        self.bound.clear();
+        self.bound_store = None;
         self.epoch += 1;
     }
 
@@ -148,6 +160,15 @@ impl Tape {
         let _ = v;
     }
 
+    /// `true` when any parent of `op` needs a gradient. Parents that do
+    /// not exist (only [`Tape::push_unchecked`] can record them) count
+    /// as constants.
+    fn any_parent_needs_grad(&self, op: &Op) -> bool {
+        let mut any = false;
+        op.for_each_parent(|p| any |= self.nodes.get(p.idx).is_some_and(|n| n.needs_grad));
+        any
+    }
+
     fn push(&mut self, value: Matrix, op: Op, param: Option<ParamId>) -> Var {
         debug_assert!(
             value.is_finite(),
@@ -156,13 +177,20 @@ impl Tape {
         );
         #[cfg(feature = "obs-profile")]
         self.profiler.on_push(op.tag());
+        let needs_grad = param.is_some() || self.any_parent_needs_grad(&op);
         self.nodes.push(Node {
             value,
             grad: None,
             op,
             param,
+            needs_grad,
         });
         self.mk_var(self.nodes.len() - 1)
+    }
+
+    /// `true` when the reverse sweep computes a gradient for `v`.
+    fn wants(&self, v: Var) -> bool {
+        self.nodes[v.idx].needs_grad
     }
 
     /// Value of a node.
@@ -171,8 +199,10 @@ impl Tape {
         &self.nodes[v.idx].value
     }
 
-    /// Gradient of a node after [`Tape::backward`]; zero matrix if the
-    /// node did not participate in the loss.
+    /// Gradient of a node after [`Tape::backward`]; a zero matrix when
+    /// backward gave the node no gradient buffer — it is not an ancestor
+    /// of the loss, or it needs no gradient (a constant, or computed from
+    /// constants only).
     pub fn grad(&self, v: Var) -> Matrix {
         self.check_var(v);
         let n = &self.nodes[v.idx];
@@ -201,6 +231,12 @@ impl Tape {
         self.nodes[i].param
     }
 
+    /// Whether node `i` needs a gradient: it is a parameter leaf or has a
+    /// parent that needs one. Panics if `i` is out of range.
+    pub fn node_needs_grad(&self, i: usize) -> bool {
+        self.nodes[i].needs_grad
+    }
+
     /// Shape of node `i`'s gradient buffer, or `None` when no gradient
     /// has been accumulated there (the node is outside the loss cone or
     /// [`Tape::backward`] has not run). Panics if `i` is out of range.
@@ -219,8 +255,8 @@ impl Tape {
     }
 
     /// Total bytes currently held by allocated gradient buffers. Zero
-    /// before [`Tape::backward`]; afterwards, exactly the nodes the
-    /// reverse sweep touched.
+    /// before [`Tape::backward`]; afterwards, exactly the ancestors of
+    /// the loss that need a gradient.
     pub fn grad_bytes(&self) -> usize {
         self.nodes
             .iter()
@@ -245,11 +281,13 @@ impl Tape {
     /// model code.
     #[doc(hidden)]
     pub fn push_unchecked(&mut self, value: Matrix, op: Op) -> Var {
+        let needs_grad = self.any_parent_needs_grad(&op);
         self.nodes.push(Node {
             value,
             grad: None,
             op,
             param: None,
+            needs_grad,
         });
         self.mk_var(self.nodes.len() - 1)
     }
@@ -265,8 +303,38 @@ impl Tape {
 
     /// Binds a parameter from `store` as a leaf; its gradient is
     /// accumulated back into the store by [`Tape::backward`].
+    ///
+    /// Each parameter is copied onto the tape once per generation: later
+    /// calls for the same `id` return the same leaf, so every use of a
+    /// parameter accumulates into one gradient buffer. [`Tape::clear`]
+    /// resets the bindings.
+    ///
+    /// # Panics
+    /// Panics (in release builds too) if this generation already bound
+    /// parameters from a different store: ids from two stores would
+    /// alias.
     pub fn param(&mut self, store: &ParamStore, id: ParamId) -> Var {
-        self.push(store.value(id).clone(), Op::Leaf, Some(id))
+        let uid = store.uid();
+        if self.bound_store.is_none() {
+            self.bound_store = Some(uid);
+            self.bound.resize(store.len(), None);
+        }
+        assert!(
+            self.bound_store == Some(uid),
+            "Tape::param: parameter `{}` comes from a second ParamStore in \
+             one tape generation; clear() the tape before binding another store",
+            store.name(id)
+        );
+        if let Some(&Some(idx)) = self.bound.get(id.index()) {
+            return self.mk_var(idx);
+        }
+        let v = self.push(store.value(id).clone(), Op::Leaf, Some(id));
+        if self.bound.len() <= id.index() {
+            // The store grew after this generation's first binding.
+            self.bound.resize(id.index() + 1, None);
+        }
+        self.bound[id.index()] = Some(v.idx);
+        v
     }
 
     // -----------------------------------------------------------------
@@ -438,6 +506,57 @@ impl Tape {
         self.push(v, Op::MeanAll(a), None)
     }
 
+    /// One fused LSTM step (gate order `[i, f, g, o]`): returns the
+    /// `(B, 2h)` node `[h′ | c′]` with
+    /// `[i f g o] = [σ σ tanh σ]((x·w + h·u) + b)`, `c′ = f ⊙ c + i ⊙ g`
+    /// and `h′ = o ⊙ tanh(c′)`. The arithmetic is the unfused ops', in
+    /// the same order, so the values are bit-identical to them.
+    pub fn lstm_cell(&mut self, x: Var, h: Var, c: Var, w: Var, u: Var, b: Var) -> Var {
+        let xw = self.value(x).matmul(self.value(w));
+        let hu = self.value(h).matmul(self.value(u));
+        let pre = xw.add(&hu).add_row_broadcast(self.value(b));
+        let c_prev = self.value(c);
+        let (rows, hid) = c_prev.shape();
+        assert_eq!(
+            pre.shape(),
+            (rows, 4 * hid),
+            "lstm_cell: gates must be {rows}x{}",
+            4 * hid
+        );
+        let mut gates = Matrix::zeros(rows, 5 * hid);
+        let mut out = Matrix::zeros(rows, 2 * hid);
+        for r in 0..rows {
+            let (z, cp) = (pre.row(r), c_prev.row(r));
+            let (g, y) = (gates.row_mut(r), out.row_mut(r));
+            // One activation pass, then the state update: measured faster
+            // than interleaving five transcendentals per unit.
+            for (k, (a, &zk)) in g[..4 * hid].iter_mut().zip(z).enumerate() {
+                *a = if k / hid == 2 {
+                    zk.tanh()
+                } else {
+                    stable_sigmoid(zk)
+                };
+            }
+            for j in 0..hid {
+                let c_new = g[hid + j] * cp[j] + g[j] * g[2 * hid + j];
+                let tc = c_new.tanh();
+                g[4 * hid + j] = tc;
+                y[j] = g[3 * hid + j] * tc;
+                y[hid + j] = c_new;
+            }
+        }
+        let step = LstmStep {
+            x,
+            h,
+            c,
+            w,
+            u,
+            b,
+            gates,
+        };
+        self.push(out, Op::LstmCell(Box::new(step)), None)
+    }
+
     /// Records a loss node; see [`crate::loss`] for the public helpers.
     pub(crate) fn push_loss(&mut self, value: Matrix, op: Op) -> Var {
         self.push(value, op, None)
@@ -450,8 +569,11 @@ impl Tape {
     /// Runs the reverse sweep from `root` (which must be `1x1`) and
     /// accumulates parameter gradients into `store`.
     ///
-    /// Gradients on the tape are also retained, so `tape.grad(v)` works
-    /// for inspection after this call.
+    /// The sweep visits only the gradient cone: ancestors of `root` that
+    /// need a gradient. Those nodes, and no others, get a gradient
+    /// buffer, which stays on the tape so `tape.grad(v)` works for
+    /// inspection after this call. A root computed from constants alone
+    /// has an empty cone, and the call does nothing.
     ///
     /// # Panics
     /// Panics if `root` is not a `1x1` scalar node.
@@ -462,19 +584,30 @@ impl Tape {
             (1, 1),
             "backward: root must be a scalar (1x1) node"
         );
+        if !self.nodes[root.idx].needs_grad {
+            return;
+        }
         self.nodes[root.idx].grad = Some(Matrix::ones(1, 1));
 
         for i in (0..=root.idx).rev() {
-            let Some(up) = self.nodes[i].grad.clone() else {
+            let node = &mut self.nodes[i];
+            if !node.needs_grad {
+                continue;
+            }
+            let Some(up) = node.grad.take() else {
                 continue;
             };
-            // Split borrow: clone the op tag (cheap, small) to walk parents.
-            let op = self.nodes[i].op.clone();
+            // Take the op out for the split borrow; `propagate` writes
+            // only to parents, so both go back unchanged.
+            let op = std::mem::replace(&mut node.op, Op::Leaf);
             #[cfg(feature = "obs-profile")]
             let t0 = rapid_obs::clock::now();
             self.propagate(i, &op, &up);
             #[cfg(feature = "obs-profile")]
             self.profiler.on_backward(op.tag(), t0.elapsed());
+            let node = &mut self.nodes[i];
+            node.op = op;
+            node.grad = Some(up);
         }
 
         // Accumulate leaf gradients into the parameter store.
@@ -487,6 +620,7 @@ impl Tape {
 
     fn accumulate(&mut self, v: Var, g: Matrix) {
         let node = &mut self.nodes[v.idx];
+        debug_assert!(node.needs_grad, "gradient for a constant {:?}", node.op);
         debug_assert_eq!(
             node.value.shape(),
             g.shape(),
@@ -500,32 +634,50 @@ impl Tape {
     }
 
     /// Applies the backward rule of node `i` (with op `op` and upstream
-    /// gradient `up`), accumulating into its parents.
+    /// gradient `up`), accumulating into its parents. Only parents that
+    /// need a gradient get one; a single-parent op needs a gradient only
+    /// because its parent does, so only multi-parent rules check.
     fn propagate(&mut self, i: usize, op: &Op, up: &Matrix) {
         match op {
             Op::Leaf => {}
             Op::MatMul(a, b) => {
-                let ga = up.matmul_bt(&self.nodes[b.idx].value);
-                let gb = self.nodes[a.idx].value.matmul_at(up);
-                self.accumulate(*a, ga);
-                self.accumulate(*b, gb);
+                if self.wants(*a) {
+                    let ga = up.matmul_bt(&self.nodes[b.idx].value);
+                    self.accumulate(*a, ga);
+                }
+                if self.wants(*b) {
+                    let gb = self.nodes[a.idx].value.matmul_at(up);
+                    self.accumulate(*b, gb);
+                }
             }
             Op::Transpose(a) => {
                 self.accumulate(*a, up.transpose());
             }
             Op::Add(a, b) => {
-                self.accumulate(*a, up.clone());
-                self.accumulate(*b, up.clone());
+                if self.wants(*a) {
+                    self.accumulate(*a, up.clone());
+                }
+                if self.wants(*b) {
+                    self.accumulate(*b, up.clone());
+                }
             }
             Op::Sub(a, b) => {
-                self.accumulate(*a, up.clone());
-                self.accumulate(*b, up.scale(-1.0));
+                if self.wants(*a) {
+                    self.accumulate(*a, up.clone());
+                }
+                if self.wants(*b) {
+                    self.accumulate(*b, up.scale(-1.0));
+                }
             }
             Op::Mul(a, b) => {
-                let ga = up.mul(&self.nodes[b.idx].value);
-                let gb = up.mul(&self.nodes[a.idx].value);
-                self.accumulate(*a, ga);
-                self.accumulate(*b, gb);
+                if self.wants(*a) {
+                    let ga = up.mul(&self.nodes[b.idx].value);
+                    self.accumulate(*a, ga);
+                }
+                if self.wants(*b) {
+                    let gb = up.mul(&self.nodes[a.idx].value);
+                    self.accumulate(*b, gb);
+                }
             }
             Op::Scale(a, s) => {
                 self.accumulate(*a, up.scale(*s));
@@ -534,28 +686,39 @@ impl Tape {
                 self.accumulate(*a, up.clone());
             }
             Op::AddRowBroadcast(a, bias) => {
-                self.accumulate(*a, up.clone());
-                self.accumulate(*bias, up.sum_cols());
+                if self.wants(*a) {
+                    self.accumulate(*a, up.clone());
+                }
+                if self.wants(*bias) {
+                    self.accumulate(*bias, up.sum_cols());
+                }
             }
             Op::MulRowBroadcast(a, w) => {
-                let ga = up.mul_row_broadcast(&self.nodes[w.idx].value);
-                let gw = up.mul(&self.nodes[a.idx].value).sum_cols();
-                self.accumulate(*a, ga);
-                self.accumulate(*w, gw);
+                if self.wants(*a) {
+                    let ga = up.mul_row_broadcast(&self.nodes[w.idx].value);
+                    self.accumulate(*a, ga);
+                }
+                if self.wants(*w) {
+                    let gw = up.mul(&self.nodes[a.idx].value).sum_cols();
+                    self.accumulate(*w, gw);
+                }
             }
             Op::MulColBroadcast(a, w) => {
-                let x = &self.nodes[a.idx].value;
-                let col = &self.nodes[w.idx].value;
-                let mut ga = up.clone();
-                for r in 0..ga.rows() {
-                    let s = col.get(r, 0);
-                    for v in ga.row_mut(r) {
-                        *v *= s;
+                if self.wants(*a) {
+                    let col = &self.nodes[w.idx].value;
+                    let mut ga = up.clone();
+                    for r in 0..ga.rows() {
+                        let s = col.get(r, 0);
+                        for v in ga.row_mut(r) {
+                            *v *= s;
+                        }
                     }
+                    self.accumulate(*a, ga);
                 }
-                let gw = up.mul(x).sum_rows();
-                self.accumulate(*a, ga);
-                self.accumulate(*w, gw);
+                if self.wants(*w) {
+                    let gw = up.mul(&self.nodes[a.idx].value).sum_rows();
+                    self.accumulate(*w, gw);
+                }
             }
             Op::Sigmoid(a) => {
                 let y = &self.nodes[i].value;
@@ -616,8 +779,9 @@ impl Tape {
                 let mut start = 0;
                 for p in parts {
                     let w = self.nodes[p.idx].value.cols();
-                    let g = up.slice_cols(start, start + w);
-                    self.accumulate(*p, g);
+                    if self.wants(*p) {
+                        self.accumulate(*p, up.slice_cols(start, start + w));
+                    }
                     start += w;
                 }
             }
@@ -625,8 +789,9 @@ impl Tape {
                 let mut start = 0;
                 for p in parts {
                     let h = self.nodes[p.idx].value.rows();
-                    let g = up.slice_rows(start, start + h);
-                    self.accumulate(*p, g);
+                    if self.wants(*p) {
+                        self.accumulate(*p, up.slice_rows(start, start + h));
+                    }
                     start += h;
                 }
             }
@@ -695,7 +860,7 @@ impl Tape {
                             if yi > yj {
                                 // d/ds_i ln(1+e^{-(s_i-s_j)}) = -σ(-(s_i-s_j))
                                 let diff = flat[i_pos] - flat[j_neg];
-                                let sig = neg_sigmoid(diff);
+                                let sig = stable_sigmoid(-diff);
                                 g[i_pos] -= sig * scale;
                                 g[j_neg] += sig * scale;
                             }
@@ -705,17 +870,64 @@ impl Tape {
                 let gm = Matrix::from_vec(s.rows(), s.cols(), g);
                 self.accumulate(*scores, gm);
             }
+            Op::LstmCell(step) => {
+                let LstmStep {
+                    x,
+                    h,
+                    c,
+                    w,
+                    u,
+                    b,
+                    gates,
+                } = &**step;
+                // With c′ = f⊙c + i⊙g and h′ = o⊙tanh(c′), the upstream
+                // [dh′ | dc′] gives the pre-activation gate gradient dz
+                // and dc = dc′ + dh′⊙o⊙(1 − tanh²c′); then
+                // dx = dz·wᵀ, dw = xᵀ·dz, dh = dz·uᵀ, du = hᵀ·dz,
+                // db = Σ_rows dz, dc_prev = dc⊙f.
+                let c_prev = &self.nodes[c.idx].value;
+                let (rows, hid) = c_prev.shape();
+                let mut dz = Matrix::zeros(rows, 4 * hid);
+                let mut dc_prev = Matrix::zeros(rows, hid);
+                for r in 0..rows {
+                    let (g, ur, cp) = (gates.row(r), up.row(r), c_prev.row(r));
+                    let (dz_r, dcp_r) = (dz.row_mut(r), dc_prev.row_mut(r));
+                    for j in 0..hid {
+                        let (ig, fg, gg, og) = (g[j], g[hid + j], g[2 * hid + j], g[3 * hid + j]);
+                        let ct = g[4 * hid + j];
+                        let dh = ur[j];
+                        let dc = ur[hid + j] + dh * og * (1.0 - ct * ct);
+                        dz_r[j] = dc * gg * (ig * (1.0 - ig));
+                        dz_r[hid + j] = dc * cp[j] * (fg * (1.0 - fg));
+                        dz_r[2 * hid + j] = dc * ig * (1.0 - gg * gg);
+                        dz_r[3 * hid + j] = dh * ct * (og * (1.0 - og));
+                        dcp_r[j] = dc * fg;
+                    }
+                }
+                if self.wants(*x) {
+                    let gx = dz.matmul_bt(&self.nodes[w.idx].value);
+                    self.accumulate(*x, gx);
+                }
+                if self.wants(*h) {
+                    let gh = dz.matmul_bt(&self.nodes[u.idx].value);
+                    self.accumulate(*h, gh);
+                }
+                if self.wants(*c) {
+                    self.accumulate(*c, dc_prev);
+                }
+                if self.wants(*w) {
+                    let gw = self.nodes[x.idx].value.matmul_at(&dz);
+                    self.accumulate(*w, gw);
+                }
+                if self.wants(*u) {
+                    let gu = self.nodes[h.idx].value.matmul_at(&dz);
+                    self.accumulate(*u, gu);
+                }
+                if self.wants(*b) {
+                    self.accumulate(*b, dz.sum_cols());
+                }
+            }
         }
-    }
-}
-
-/// `σ(−x)` computed stably.
-fn neg_sigmoid(x: f32) -> f32 {
-    if x >= 0.0 {
-        let e = (-x).exp();
-        e / (1.0 + e)
-    } else {
-        1.0 / (1.0 + x.exp())
     }
 }
 
@@ -765,7 +977,92 @@ mod tests {
         let loss = tape.sum_all(c);
         tape.backward(loss, &mut store);
         assert!(store.is_empty());
-        assert_eq!(tape.grad(c).as_slice(), &[1.0, 1.0]);
+        // A constant needs no gradient, so backward allocates none for
+        // it (nor for the loss computed from it alone).
+        assert_eq!(tape.node_grad_shape(c.index()), None);
+        assert_eq!(tape.node_grad_shape(loss.index()), None);
+        assert_eq!(tape.grad_bytes(), 0);
+        assert_eq!(tape.grad(c).as_slice(), &[0.0, 0.0]);
+    }
+
+    #[test]
+    fn matmul_against_a_constant_gives_only_the_parameter_a_gradient() {
+        let mut store = ParamStore::new();
+        let w = store.add("w", Matrix::from_rows(&[&[1.0], &[2.0]]));
+        let mut tape = Tape::new();
+        let x = tape.constant(Matrix::from_rows(&[&[3.0, 4.0], &[5.0, 6.0]]));
+        let wv = tape.param(&store, w);
+        let y = tape.matmul(x, wv);
+        let loss = tape.sum_all(y);
+        tape.backward(loss, &mut store);
+        assert_eq!(tape.node_grad_shape(x.index()), None);
+        assert_eq!(tape.node_grad_shape(wv.index()), Some((2, 1)));
+        // dW = xᵀ · 1 = column sums of x.
+        assert_eq!(store.grad(w).as_slice(), &[8.0, 10.0]);
+    }
+
+    #[test]
+    fn a_parameter_is_bound_once_per_generation() {
+        let mut store = ParamStore::new();
+        let w = store.add("w", Matrix::ones(1, 2));
+        let mut tape = Tape::new();
+        let first = tape.param(&store, w);
+        let second = tape.param(&store, w);
+        assert_eq!(first, second);
+        assert_eq!(tape.len(), 1);
+        // Both uses accumulate on the one leaf, then into the store once.
+        let s = tape.add(first, second);
+        let loss = tape.sum_all(s);
+        tape.backward(loss, &mut store);
+        assert_eq!(store.grad(w).as_slice(), &[2.0, 2.0]);
+        // A new generation copies the (possibly updated) value again.
+        tape.clear();
+        *store.value_mut(w) = Matrix::full(1, 2, 5.0);
+        let again = tape.param(&store, w);
+        assert_eq!(tape.value(again).as_slice(), &[5.0, 5.0]);
+    }
+
+    #[test]
+    #[should_panic(expected = "second ParamStore")]
+    fn binding_from_a_second_store_panics() {
+        let mut a = ParamStore::new();
+        let wa = a.add("a.w", Matrix::ones(1, 1));
+        // A clone is a different store even though its ids coincide.
+        let b = a.clone();
+        let mut tape = Tape::new();
+        tape.param(&a, wa);
+        tape.param(&b, wa);
+    }
+
+    #[test]
+    fn another_store_binds_after_clear() {
+        let mut a = ParamStore::new();
+        let wa = a.add("a.w", Matrix::ones(1, 1));
+        let b = a.clone();
+        let mut tape = Tape::new();
+        tape.param(&a, wa);
+        tape.clear();
+        let wb = tape.param(&b, wa);
+        assert_eq!(tape.value(wb).as_slice(), &[1.0]);
+    }
+
+    #[test]
+    fn stable_sigmoid_of_minus_x_is_the_old_split_form_bit_for_bit() {
+        // The pairwise rule used a private split-form σ(−x); it now calls
+        // `stable_sigmoid(-x)`. Same branches, same arithmetic.
+        let old = |x: f32| {
+            if x >= 0.0 {
+                let e = (-x).exp();
+                e / (1.0 + e)
+            } else {
+                1.0 / (1.0 + x.exp())
+            }
+        };
+        for k in -4000..=4000 {
+            let x = k as f32 * 0.01;
+            assert_eq!(stable_sigmoid(-x).to_bits(), old(x).to_bits(), "x = {x}");
+        }
+        assert_eq!(stable_sigmoid(0.0).to_bits(), old(-0.0).to_bits());
     }
 
     #[test]

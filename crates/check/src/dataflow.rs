@@ -6,13 +6,17 @@
 //! recorded work is detached from the loss entirely, and which subtrees
 //! are constant and could be folded out of the steady-state tape.
 //!
-//! The analysis is a reverse reachability sweep from the loss node over
-//! [`gradient_parents`] — the per-op declaration of which parents the
-//! backward rule propagates into. Today every op propagates into every
-//! parent, but the mapping is written as a non-wildcard `match` so that
-//! a future op with a stop-gradient semantics (or a new op added without
-//! thinking about the analyses at all) is a compile error here, not a
-//! silent gap.
+//! The analysis recomputes, independently of the tape's own record-time
+//! flags, which nodes need a gradient (a parameter leaf, or a node with
+//! a [`gradient_parents`] entry that needs one) and intersects that with
+//! the loss node's ancestors: the gradient cone, which is exactly where
+//! `Tape::backward` allocates gradient buffers. [`gradient_parents`] is
+//! the per-op declaration of which parents a backward rule can
+//! propagate into; a rule skips those that need no gradient. Every op
+//! declares all of its parents today, but the mapping is a non-wildcard
+//! `match` so that a future op with stop-gradient semantics (or a new op
+//! added without thinking about the analyses at all) is a compile error
+//! here, not a silent gap.
 
 use rapid_autograd::op::Op;
 use rapid_autograd::{Tape, Var};
@@ -52,6 +56,7 @@ pub fn gradient_parents(op: &Op) -> Vec<Var> {
         Op::BceWithLogits { logits, .. } => vec![*logits],
         Op::Mse { pred, .. } => vec![*pred],
         Op::PairwiseLogistic { scores, .. } => vec![*scores],
+        Op::LstmCell(s) => vec![s.x, s.h, s.c, s.w, s.u, s.b],
     }
 }
 
@@ -62,22 +67,17 @@ pub fn gradient_parents(op: &Op) -> Vec<Var> {
 pub struct DeadParam {
     /// `ParamId::index()` of the dead parameter.
     pub param: usize,
-    /// Every leaf node binding it (none of which reach the loss).
-    pub bindings: Vec<usize>,
+    /// The leaf node binding it (a tape binds a parameter once per
+    /// generation); it does not reach the loss.
+    pub binding: usize,
 }
 
 impl std::fmt::Display for DeadParam {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
         write!(
             f,
-            "param#{} (bound at node{} {}) never receives gradient",
-            self.param,
-            if self.bindings.len() == 1 { "" } else { "s" },
-            self.bindings
-                .iter()
-                .map(|n| n.to_string())
-                .collect::<Vec<_>>()
-                .join(", ")
+            "param#{} (bound at node {}) never receives gradient",
+            self.param, self.binding
         )
     }
 }
@@ -87,17 +87,17 @@ impl std::fmt::Display for DeadParam {
 pub struct GradFlowReport {
     /// The loss node the sweep started from.
     pub root: usize,
-    /// Nodes in the backward cone (ancestors of the root, root included):
-    /// exactly the nodes `Tape::backward` will touch.
+    /// Nodes in the gradient cone (ancestors of the root that need a
+    /// gradient, root included): exactly the nodes `Tape::backward`
+    /// gives a gradient buffer.
     pub live_nodes: usize,
-    /// Distinct parameters with at least one binding inside the cone.
+    /// Parameters whose binding is inside the cone.
     pub trained_params: usize,
-    /// Parameters bound on the tape whose every binding is outside the
-    /// cone.
+    /// Parameters bound on the tape whose binding is outside the cone.
     pub dead_params: Vec<DeadParam>,
-    /// Connected components of nodes outside the cone (edges are parent
-    /// links restricted to outside nodes), each listed in index order.
-    /// Recorded work that cannot influence the loss.
+    /// Connected components of nodes that are not ancestors of the root
+    /// (edges are parent links restricted to those nodes), each listed
+    /// in index order. Recorded work that cannot influence the loss.
     pub detached: Vec<Vec<usize>>,
     /// Non-leaf nodes whose entire ancestry is constant leaves: they
     /// recompute the same value every pass and could be folded into a
@@ -109,7 +109,7 @@ pub struct GradFlowReport {
 }
 
 impl GradFlowReport {
-    /// Total nodes outside the backward cone.
+    /// Total nodes that cannot influence the loss.
     pub fn detached_nodes(&self) -> usize {
         self.detached.iter().map(|c| c.len()).sum()
     }
@@ -132,28 +132,56 @@ impl std::fmt::Display for GradFlowReport {
     }
 }
 
-/// The backward cone of `root`: `cone[i]` is `true` iff gradient from
-/// `root` reaches node `i` (via [`gradient_parents`]).
+/// `needs[i]`: node `i` is a parameter leaf or has a gradient parent
+/// that needs a gradient — the flag `Tape` sets at record time,
+/// recomputed from the ops. Parent indices at or past their node
+/// (malformed graphs) count as constants.
+pub fn needs_gradient(tape: &Tape) -> Vec<bool> {
+    let n = tape.len();
+    let mut needs = vec![false; n];
+    for i in 0..n {
+        needs[i] = tape.node_param(i).is_some()
+            || gradient_parents(tape.node_op(i))
+                .iter()
+                .any(|p| p.index() < i && needs[p.index()]);
+    }
+    needs
+}
+
+/// `anc[i]`: node `i` is `root` or one of its ancestors along the
+/// `edges` an op declares ([`Op::parents`] for influence,
+/// [`gradient_parents`] for gradient flow).
+///
+/// # Panics
+/// Panics if `root` is out of range.
+fn ancestors(tape: &Tape, root: usize, edges: fn(&Op) -> Vec<Var>) -> Vec<bool> {
+    let n = tape.len();
+    assert!(root < n, "root {root} out of range ({n} nodes)");
+    let mut anc = vec![false; n];
+    anc[root] = true;
+    for i in (0..=root).rev() {
+        if anc[i] {
+            for p in edges(tape.node_op(i)) {
+                if p.index() < i {
+                    anc[p.index()] = true;
+                }
+            }
+        }
+    }
+    anc
+}
+
+/// The gradient cone of `root`: `cone[i]` is `true` iff node `i` is an
+/// ancestor of `root` (or `root` itself) that needs a gradient — exactly
+/// the nodes `Tape::backward` allocates a gradient buffer for.
 ///
 /// # Panics
 /// Panics if `root` is out of range.
 pub fn backward_cone(tape: &Tape, root: usize) -> Vec<bool> {
-    let n = tape.len();
-    assert!(
-        root < n,
-        "backward_cone: root {root} out of range ({n} nodes)"
-    );
-    let mut cone = vec![false; n];
-    cone[root] = true;
-    for i in (0..=root).rev() {
-        if !cone[i] {
-            continue;
-        }
-        for p in gradient_parents(tape.node_op(i)) {
-            if p.index() < i {
-                cone[p.index()] = true;
-            }
-        }
+    let needs = needs_gradient(tape);
+    let mut cone = ancestors(tape, root, gradient_parents);
+    for (c, n) in cone.iter_mut().zip(needs) {
+        *c &= n;
     }
     cone
 }
@@ -169,34 +197,25 @@ pub fn backward_cone(tape: &Tape, root: usize) -> Vec<bool> {
 pub fn analyze_gradient_flow(tape: &Tape, root: usize) -> GradFlowReport {
     let n = tape.len();
     let cone = backward_cone(tape, root);
+    let reaches = ancestors(tape, root, Op::parents);
 
-    // Parameter liveness: a param is trained iff any binding is in the cone.
-    // (param index, any live binding, all bindings)
-    let mut params: Vec<(usize, bool, Vec<usize>)> = Vec::new();
+    let mut trained_params = 0;
+    let mut dead_params = Vec::new();
     for (i, &in_cone) in cone.iter().enumerate() {
         if let Some(id) = tape.node_param(i) {
-            let idx = id.index();
-            match params.iter_mut().find(|(p, _, _)| *p == idx) {
-                Some((_, live, bindings)) => {
-                    *live |= in_cone;
-                    bindings.push(i);
-                }
-                None => params.push((idx, in_cone, vec![i])),
+            if in_cone {
+                trained_params += 1;
+            } else {
+                dead_params.push(DeadParam {
+                    param: id.index(),
+                    binding: i,
+                });
             }
         }
     }
-    let trained_params = params.iter().filter(|(_, live, _)| *live).count();
-    let dead_params = params
-        .iter()
-        .filter(|(_, live, _)| !*live)
-        .map(|(param, _, bindings)| DeadParam {
-            param: *param,
-            bindings: bindings.clone(),
-        })
-        .collect();
 
     // Detached components: union-find over parent edges between nodes
-    // outside the cone.
+    // that cannot reach the root.
     let mut uf: Vec<usize> = (0..n).collect();
     fn find(uf: &mut [usize], mut x: usize) -> usize {
         while uf[x] != x {
@@ -206,12 +225,12 @@ pub fn analyze_gradient_flow(tape: &Tape, root: usize) -> GradFlowReport {
         x
     }
     for i in 0..n {
-        if cone[i] {
+        if reaches[i] {
             continue;
         }
         for p in tape.node_op(i).parents() {
             let p = p.index();
-            if p < i && !cone[p] {
+            if p < i && !reaches[p] {
                 let (a, b) = (find(&mut uf, i), find(&mut uf, p));
                 uf[a] = b;
             }
@@ -219,8 +238,8 @@ pub fn analyze_gradient_flow(tape: &Tape, root: usize) -> GradFlowReport {
     }
     let mut detached: Vec<Vec<usize>> = Vec::new();
     let mut root_of: Vec<(usize, usize)> = Vec::new(); // (uf root, detached idx)
-    for (i, &in_cone) in cone.iter().enumerate() {
-        if in_cone {
+    for (i, &r) in reaches.iter().enumerate() {
+        if r {
             continue;
         }
         let r = find(&mut uf, i);
@@ -233,32 +252,23 @@ pub fn analyze_gradient_flow(tape: &Tape, root: usize) -> GradFlowReport {
         }
     }
 
-    // Constant subtrees: const = non-param leaf, or non-leaf whose every
-    // parent is const. Foldable = const non-leaf.
-    let mut constant = vec![false; n];
-    let mut foldable_nodes = 0usize;
-    for i in 0..n {
-        let op = tape.node_op(i);
-        let parents = op.parents();
-        constant[i] = if parents.is_empty() {
-            matches!(op, Op::Leaf) && tape.node_param(i).is_none()
-        } else {
-            parents.iter().all(|p| p.index() < i && constant[p.index()])
-        };
-        if constant[i] && !matches!(op, Op::Leaf) {
-            foldable_nodes += 1;
-        }
-    }
+    // Constant subtrees: non-leaf nodes that need no gradient are
+    // computed from constant leaves only. Foldable roots are those with
+    // no constant non-leaf consumer.
+    let needs = needs_gradient(tape);
+    let foldable: Vec<bool> = (0..n)
+        .map(|i| !needs[i] && !matches!(tape.node_op(i), Op::Leaf))
+        .collect();
     let mut has_const_consumer = vec![false; n];
-    for (i, &is_const) in constant.iter().enumerate() {
-        if is_const {
-            for p in tape.node_op(i).parents() {
+    for i in (0..n).filter(|&i| foldable[i]) {
+        for p in tape.node_op(i).parents() {
+            if p.index() < i {
                 has_const_consumer[p.index()] = true;
             }
         }
     }
     let foldable_roots = (0..n)
-        .filter(|&i| constant[i] && !matches!(tape.node_op(i), Op::Leaf) && !has_const_consumer[i])
+        .filter(|&i| foldable[i] && !has_const_consumer[i])
         .collect();
 
     GradFlowReport {
@@ -267,7 +277,7 @@ pub fn analyze_gradient_flow(tape: &Tape, root: usize) -> GradFlowReport {
         trained_params,
         dead_params,
         detached,
-        foldable_nodes,
+        foldable_nodes: foldable.iter().filter(|&&f| f).count(),
         foldable_roots,
     }
 }
@@ -275,7 +285,6 @@ pub fn analyze_gradient_flow(tape: &Tape, root: usize) -> GradFlowReport {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::shape::op_name;
     use rapid_autograd::ParamStore;
     use rapid_tensor::Matrix;
 
@@ -294,24 +303,10 @@ mod tests {
             report.dead_params,
             vec![DeadParam {
                 param: dead.index(),
-                bindings: vec![1]
+                binding: 1
             }]
         );
         assert_eq!(report.detached, vec![vec![1]]);
-    }
-
-    #[test]
-    fn rebound_param_is_live_if_any_binding_reaches_the_loss() {
-        let mut store = ParamStore::new();
-        let w = store.add("w", Matrix::ones(1, 2));
-        let mut tape = Tape::new();
-        let _stale = tape.param(&store, w); // first binding: detached
-        let wv = tape.param(&store, w); // second binding feeds the loss
-        let loss = tape.sum_all(wv);
-        let report = analyze_gradient_flow(&tape, loss.index());
-        assert_eq!(report.trained_params, 1);
-        assert!(report.dead_params.is_empty());
-        assert_eq!(report.detached_nodes(), 1);
     }
 
     #[test]
@@ -349,7 +344,7 @@ mod tests {
     #[test]
     fn cone_matches_backward_grad_allocation() {
         // The static cone must be exactly the set of nodes `backward`
-        // allocates gradients for.
+        // allocates gradients for: ancestors of the loss that need one.
         let mut store = ParamStore::new();
         let w = store.add("w", Matrix::ones(2, 2));
         let mut tape = Tape::new();
@@ -358,15 +353,22 @@ mod tests {
         let h = tape.matmul(x, wv);
         let _detached = tape.relu(h); // recorded, not consumed by the loss
         let s = tape.sigmoid(h);
-        let loss = tape.sum_all(s);
+        let k = tape.scale(x, 2.0); // feeds the loss, needs no gradient
+        let t = tape.add(s, k);
+        let loss = tape.sum_all(t);
         let cone = backward_cone(&tape, loss.index());
+        assert_eq!(
+            cone,
+            vec![false, true, true, false, true, false, true, true],
+            "constants x and k and the detached relu are outside the cone"
+        );
         tape.backward(loss, &mut store);
         for (i, &in_cone) in cone.iter().enumerate() {
             assert_eq!(
                 in_cone,
                 tape.node_grad_shape(i).is_some(),
                 "node {i} ({})",
-                op_name(tape.node_op(i))
+                tape.node_op(i).tag()
             );
         }
     }

@@ -16,15 +16,12 @@
 //!   the forward implementation no longer matches the op's declared
 //!   semantics.
 //!
-//! Everything else the issue cares about is *reported*, not rejected,
-//! because it is legitimate in this codebase: parameters bound more
-//! than once on one tape (every batched fit rebinds each parameter once
-//! per list) and constants that would receive gradients (every input
-//! constant on a loss path does; the gradient is simply discarded).
+//! Nodes that cannot reach the graph's output are *reported*, not
+//! rejected: recording work nobody consumes is wasteful but legitimate.
 
-use rapid_autograd::{ParamId, Tape};
+use rapid_autograd::Tape;
 
-use crate::shape::{infer_shape, op_name, Shape, ShapeError};
+use crate::shape::{infer_shape, Shape, ShapeError};
 
 /// A hard validation failure: the graph cannot have been produced by a
 /// correct sequence of tape ops.
@@ -103,7 +100,7 @@ impl std::fmt::Display for GraphError {
 impl std::error::Error for GraphError {}
 
 /// Summary of a graph that passed validation, including the benign
-/// conditions worth surfacing.
+/// condition worth surfacing.
 #[derive(Debug, Clone, Default, PartialEq, Eq)]
 pub struct GraphReport {
     /// Total nodes on the tape.
@@ -117,20 +114,13 @@ pub struct GraphReport {
     /// RNN states recorded but not all consumed), but a growing list is
     /// a smell worth inspecting.
     pub unreachable: Vec<usize>,
-    /// Parameter leaves that rebind a parameter already bound earlier on
-    /// the same tape. Expected in batched fits (one binding per list);
-    /// gradients from all bindings accumulate into the same store slot.
-    pub rebound_params: Vec<usize>,
-    /// Constant leaves that are ancestors of the final node and would
-    /// therefore receive (discarded) gradients in a backward pass.
-    pub grad_receiving_constants: usize,
 }
 
 impl GraphReport {
     /// `true` when the graph has no benign findings either: every node
-    /// feeds the output and no parameter is bound twice.
+    /// feeds the output.
     pub fn is_pristine(&self) -> bool {
-        self.unreachable.is_empty() && self.rebound_params.is_empty()
+        self.unreachable.is_empty()
     }
 }
 
@@ -138,14 +128,11 @@ impl std::fmt::Display for GraphReport {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
         write!(
             f,
-            "{} nodes ({} param leaves, {} constants); {} unreachable, \
-             {} rebound params, {} grad-receiving constants",
+            "{} nodes ({} param leaves, {} constants); {} unreachable",
             self.nodes,
             self.param_leaves,
             self.constant_leaves,
-            self.unreachable.len(),
-            self.rebound_params.len(),
-            self.grad_receiving_constants
+            self.unreachable.len()
         )
     }
 }
@@ -162,21 +149,14 @@ pub fn check_tape(tape: &Tape) -> Result<GraphReport, Vec<GraphError>> {
         nodes: n,
         ..GraphReport::default()
     };
-    // (param, first binding node) pairs; graphs are small enough that a
-    // linear scan beats pulling in a hash map keyed on an opaque id.
-    let mut bindings: Vec<(ParamId, usize)> = Vec::new();
 
     for i in 0..n {
         let op = tape.node_op(i);
-        let name = op_name(op);
+        let name = op.tag();
         let parents = op.parents();
 
-        if let Some(id) = tape.node_param(i) {
+        if tape.node_param(i).is_some() {
             report.param_leaves += 1;
-            match bindings.iter().find(|(b, _)| *b == id) {
-                Some(_) => report.rebound_params.push(i),
-                None => bindings.push((id, i)),
-            }
         } else if parents.is_empty() {
             report.constant_leaves += 1;
         }
@@ -234,13 +214,7 @@ pub fn check_tape(tape: &Tape) -> Result<GraphReport, Vec<GraphError>> {
                 reachable[p.index()] = true;
             }
         }
-        for (i, &r) in reachable.iter().enumerate() {
-            if !r {
-                report.unreachable.push(i);
-            } else if tape.node_op(i).parents().is_empty() && tape.node_param(i).is_none() {
-                report.grad_receiving_constants += 1;
-            }
-        }
+        report.unreachable = (0..n).filter(|&i| !reachable[i]).collect();
     }
 
     Ok(report)

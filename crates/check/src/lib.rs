@@ -14,9 +14,8 @@
 //! * [`graph::check_tape`] / the [`TapeCheck`] extension trait — replays
 //!   a recorded graph symbolically and rejects dangling parents (the
 //!   stale-`Var` signature), contract-violating input shapes, and
-//!   op-implementation drift; benign conditions (rebound parameters,
-//!   gradient-receiving constants, unreachable nodes) are summarized in
-//!   a [`GraphReport`].
+//!   op-implementation drift; unreachable nodes, which are benign, are
+//!   summarized in a [`GraphReport`].
 //! * [`lint`] — a dependency-free workspace source linter (the
 //!   `rapid-lint` binary) enforcing project rules: no `unwrap`/`expect`
 //!   in hot-crate library code, environment reads confined to
@@ -26,9 +25,10 @@
 //! On top of the per-node checks sits the whole-graph dataflow suite
 //! (pass pipeline: shapes → gradient-flow → liveness → stability):
 //!
-//! * [`dataflow::analyze_gradient_flow`] — backward reachability from a
-//!   loss node: dead parameters, detached subgraphs, constant-folding
-//!   opportunities.
+//! * [`dataflow::analyze_gradient_flow`] — the gradient cone of a loss
+//!   node (its ancestors that need a gradient, exactly what
+//!   `Tape::backward` touches): dead parameters, detached subgraphs,
+//!   constant-folding opportunities.
 //! * [`liveness::analyze_liveness`] — last-use analysis, a greedy
 //!   buffer-reuse plan, and forward / forward+backward peak-live-bytes
 //!   bounds (the input spec for the planned bump-arena tape).
@@ -73,10 +73,11 @@ pub use audit::{
     audit_tape, compare_with_golden, parse_ndjson, render_table, to_ndjson, ModelAudit,
 };
 pub use dataflow::{
-    analyze_gradient_flow, backward_cone, gradient_parents, DeadParam, GradFlowReport,
+    analyze_gradient_flow, backward_cone, gradient_parents, needs_gradient, DeadParam,
+    GradFlowReport,
 };
 pub use graph::{check_tape, GraphError, GraphReport, TapeCheck};
 pub use lint::{lint_source, lint_workspace, Finding};
 pub use liveness::{analyze_liveness, backward_reads, BackwardReads, BufferPlan, MemoryReport};
-pub use shape::{infer_shape, op_name, Shape, ShapeError};
+pub use shape::{infer_shape, Shape, ShapeError};
 pub use stability::{lint_stability, Severity, StabilityFinding};

@@ -10,7 +10,8 @@
 //!   open item 2);
 //! * the **training peak**: what forward + backward costs on today's
 //!   tape, which retains every value and lazily allocates a gradient
-//!   for exactly the backward cone of the loss. `Tape::value_bytes() +
+//!   for exactly the gradient cone of the loss (its ancestors that need
+//!   a gradient). `Tape::value_bytes() +
 //!   Tape::grad_bytes()` measured after a real backward pass must come
 //!   in at or under this bound (asserted by the validation tests);
 //! * the **releasable** bytes: values no backward rule ever reads
@@ -70,6 +71,9 @@ pub fn backward_reads(op: &Op) -> BackwardReads {
         Op::BceWithLogits { .. } => BackwardReads::ParentValues,
         Op::Mse { .. } => BackwardReads::ParentValues,
         Op::PairwiseLogistic { .. } => BackwardReads::ParentValues,
+        // The activations it needs ride in the op; the value [h′ | c′]
+        // is not read.
+        Op::LstmCell(..) => BackwardReads::ParentValues,
     }
 }
 
@@ -107,7 +111,7 @@ pub struct MemoryReport {
     /// Greedy exact-size buffer-reuse plan achieving that schedule.
     pub plan: BufferPlan,
     /// Gradient bytes a backward pass from `root` allocates (one buffer
-    /// per backward-cone node).
+    /// per gradient-cone node).
     pub grad_bytes: usize,
     /// Static bound for forward + backward on today's retain-everything
     /// tape: all values plus the cone's gradients.
@@ -142,7 +146,7 @@ fn bytes_of(shape: (usize, usize)) -> usize {
 }
 
 /// Runs the liveness analysis with the loss/output at node `root`
-/// (gradient accounting uses `root`'s backward cone; the final tape node
+/// (gradient accounting uses `root`'s gradient cone; the final tape node
 /// is pinned live through the forward pass as the graph's output).
 ///
 /// # Panics
@@ -260,8 +264,11 @@ mod tests {
         // x(2x3) -> relu -> tanh -> sigmoid: after the first activation,
         // each step needs its input plus its output; same-shape buffers
         // ping-pong, so the plan holds 2 buffers and the peak is 2 live.
+        // `x` is a parameter so the chain is in the gradient cone.
+        let mut store = ParamStore::new();
+        let w = store.add("x", Matrix::ones(2, 3));
         let mut tape = Tape::new();
-        let x = tape.constant(Matrix::ones(2, 3));
+        let x = tape.param(&store, w);
         let a = tape.relu(x);
         let b = tape.tanh(a);
         let c = tape.sigmoid(b);
@@ -274,6 +281,17 @@ mod tests {
         // Backward needs: x (relu reads its parent), b and c (tanh and
         // sigmoid read their own outputs). Only `a` is releasable.
         assert_eq!(m.releasable_bytes, sz);
+
+        // On constants alone there is no backward: all but the pinned
+        // output is releasable.
+        let mut tape = Tape::new();
+        let x = tape.constant(Matrix::ones(2, 3));
+        let a = tape.relu(x);
+        let b = tape.tanh(a);
+        let c = tape.sigmoid(b);
+        let m = analyze_liveness(&tape, c.index());
+        assert_eq!(m.grad_bytes, 0);
+        assert_eq!(m.releasable_bytes, 3 * sz);
     }
 
     #[test]
@@ -300,8 +318,9 @@ mod tests {
         let _dead = tape.constant(Matrix::ones(8, 8)); // outside the cone
         let loss = tape.sum_all(h);
         let m = analyze_liveness(&tape, loss.index());
-        // x (1x4) + w (4x4) + h (1x4) + loss (1x1), 4 bytes each.
-        let cone_bytes = (4 + 16 + 4 + 1) * 4;
+        // w (4x4) + h (1x4) + loss (1x1), 4 bytes each; the constant x
+        // (1x4) needs no gradient.
+        let cone_bytes = (16 + 4 + 1) * 4;
         assert_eq!(m.grad_bytes, cone_bytes);
         assert_eq!(m.train_peak_bytes, m.total_value_bytes + cone_bytes);
 

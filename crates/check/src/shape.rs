@@ -170,38 +170,6 @@ impl std::fmt::Display for ShapeError {
 
 impl std::error::Error for ShapeError {}
 
-/// Short stable name of an op variant, used in diagnostics.
-pub fn op_name(op: &Op) -> &'static str {
-    match op {
-        Op::Leaf => "leaf",
-        Op::MatMul(..) => "matmul",
-        Op::Transpose(..) => "transpose",
-        Op::Add(..) => "add",
-        Op::Sub(..) => "sub",
-        Op::Mul(..) => "mul",
-        Op::Scale(..) => "scale",
-        Op::AddScalar(..) => "add_scalar",
-        Op::AddRowBroadcast(..) => "add_row_broadcast",
-        Op::MulRowBroadcast(..) => "mul_row_broadcast",
-        Op::MulColBroadcast(..) => "mul_col_broadcast",
-        Op::Sigmoid(..) => "sigmoid",
-        Op::Tanh(..) => "tanh",
-        Op::Relu(..) => "relu",
-        Op::Softplus(..) => "softplus",
-        Op::SoftmaxRows(..) => "softmax_rows",
-        Op::NormalizeRows(..) => "normalize_rows",
-        Op::ConcatCols(..) => "concat_cols",
-        Op::ConcatRows(..) => "concat_rows",
-        Op::SliceCols(..) => "slice_cols",
-        Op::SliceRows(..) => "slice_rows",
-        Op::SumAll(..) => "sum_all",
-        Op::MeanAll(..) => "mean_all",
-        Op::BceWithLogits { .. } => "bce_with_logits",
-        Op::Mse { .. } => "mse",
-        Op::PairwiseLogistic { .. } => "pairwise_logistic",
-    }
-}
-
 fn arity(op: &'static str, inputs: &[Shape], expected: usize) -> Result<(), ShapeError> {
     if inputs.len() == expected {
         Ok(())
@@ -306,7 +274,7 @@ pub fn infer_shape(op: &Op, inputs: &[Shape]) -> Result<Shape, ShapeError> {
         Op::Scale(..) => unary("scale", inputs),
         Op::AddScalar(..) => unary("add_scalar", inputs),
         Op::AddRowBroadcast(..) | Op::MulRowBroadcast(..) => {
-            let op = op_name(op);
+            let op = op.tag();
             arity(op, inputs, 2)?;
             let (main, row) = (inputs[0], inputs[1]);
             if row == (1, main.1) {
@@ -396,12 +364,44 @@ pub fn infer_shape(op: &Op, inputs: &[Shape]) -> Result<Shape, ShapeError> {
                 })
             }
         }
+        Op::LstmCell(..) => {
+            const OP: &str = "lstm_cell";
+            arity(OP, inputs, 6)?;
+            let (x, h, c, w, u, b) = (
+                inputs[0], inputs[1], inputs[2], inputs[3], inputs[4], inputs[5],
+            );
+            if x.1 != w.0 {
+                return Err(ShapeError::MatMulInner { left: x, right: w });
+            }
+            if h.1 != u.0 {
+                return Err(ShapeError::MatMulInner { left: h, right: u });
+            }
+            let gates = (x.0, w.1);
+            for (left, right) in [(h, c), (gates, (h.0, u.1)), (gates, (h.0, 4 * h.1))] {
+                if left != right {
+                    return Err(ShapeError::Mismatch {
+                        op: OP,
+                        left,
+                        right,
+                    });
+                }
+            }
+            if b != (1, gates.1) {
+                return Err(ShapeError::RowBroadcast {
+                    op: OP,
+                    main: gates,
+                    row: b,
+                });
+            }
+            Ok((h.0, 2 * h.1))
+        }
     }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use rapid_autograd::op::LstmStep;
     use rapid_tensor::Matrix;
 
     // `infer_shape` only reads the payload of data-carrying variants, so
@@ -498,6 +498,51 @@ mod tests {
                 labels: 5
             })
         );
+    }
+
+    #[test]
+    fn lstm_cell_checks_all_six_operands() {
+        let op = Op::LstmCell(Box::new(LstmStep {
+            x: v(0),
+            h: v(1),
+            c: v(2),
+            w: v(3),
+            u: v(4),
+            b: v(5),
+            gates: Matrix::zeros(1, 1),
+        }));
+        let ok = [(4, 5), (4, 3), (4, 3), (5, 12), (3, 12), (1, 12)];
+        assert_eq!(infer_shape(&op, &ok), Ok((4, 6)));
+        let mut bad_w = ok;
+        bad_w[3] = (6, 12);
+        assert!(matches!(
+            infer_shape(&op, &bad_w),
+            Err(ShapeError::MatMulInner { .. })
+        ));
+        let mut bad_c = ok;
+        bad_c[2] = (4, 2);
+        assert!(matches!(
+            infer_shape(&op, &bad_c),
+            Err(ShapeError::Mismatch {
+                op: "lstm_cell",
+                ..
+            })
+        ));
+        let mut bad_gates = ok;
+        (bad_gates[3], bad_gates[4], bad_gates[5]) = ((5, 8), (3, 8), (1, 8));
+        assert!(matches!(
+            infer_shape(&op, &bad_gates),
+            Err(ShapeError::Mismatch {
+                op: "lstm_cell",
+                ..
+            })
+        ));
+        let mut bad_b = ok;
+        bad_b[5] = (12, 1);
+        assert!(matches!(
+            infer_shape(&op, &bad_b),
+            Err(ShapeError::RowBroadcast { .. })
+        ));
     }
 
     #[test]

@@ -25,10 +25,12 @@
 //!   multiplicative ops with no intervening squashing; its input scale
 //!   is unbounded, so the activation runs in its flat tails and the
 //!   gradient vanishes (Info). Depth is tracked by an exhaustive
-//!   per-op transfer function.
+//!   per-op transfer function. A fused `LstmCell` is tracked as the
+//!   matmul/add/sigmoid/tanh/mul nodes it replaces and raises one
+//!   finding per cell when any of its five activations would.
 
-use rapid_autograd::op::Op;
-use rapid_autograd::Tape;
+use rapid_autograd::op::{LstmStep, Op};
+use rapid_autograd::{Tape, Var};
 
 /// How bad a stability finding is.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord)]
@@ -80,13 +82,8 @@ impl std::fmt::Display for StabilityFinding {
 /// Bounded-output ops reset to 0; affine/structural ops pass the max of
 /// their parents through; multiplicative ops add 1. Exhaustive so new
 /// ops must declare their growth behaviour.
-fn depth_transfer(op: &Op, parent_depth: impl Fn(usize) -> u32) -> u32 {
-    let max_parent = |vars: &[rapid_autograd::Var]| {
-        vars.iter()
-            .map(|v| parent_depth(v.index()))
-            .max()
-            .unwrap_or(0)
-    };
+fn depth_transfer(tape: &Tape, op: &Op, depth: &[u32]) -> u32 {
+    let max_parent = |vars: &[Var]| vars.iter().map(|v| depth[v.index()]).max().unwrap_or(0);
     match op {
         // Sources: leaves start at depth 0.
         Op::Leaf => 0,
@@ -95,6 +92,13 @@ fn depth_transfer(op: &Op, parent_depth: impl Fn(usize) -> u32) -> u32 {
         | Op::Mul(a, b)
         | Op::MulRowBroadcast(a, b)
         | Op::MulColBroadcast(a, b) => max_parent(&[*a, *b]) + 1,
+        // The h′ half of a fused LSTM step: o ⊙ tanh(c′).
+        Op::SliceCols(a, _, end)
+            if matches!(tape.node_op(a.index()), Op::LstmCell(..))
+                && 2 * end <= tape.node_shape(a.index()).1 =>
+        {
+            LSTM_H_DEPTH
+        }
         // Affine / structural: scale passes through unchanged.
         Op::Transpose(a)
         | Op::Scale(a, _)
@@ -102,11 +106,11 @@ fn depth_transfer(op: &Op, parent_depth: impl Fn(usize) -> u32) -> u32 {
         | Op::SliceCols(a, _, _)
         | Op::SliceRows(a, _, _)
         | Op::SumAll(a)
-        | Op::MeanAll(a) => parent_depth(a.index()),
+        | Op::MeanAll(a) => depth[a.index()],
         Op::Add(a, b) | Op::Sub(a, b) | Op::AddRowBroadcast(a, b) => max_parent(&[*a, *b]),
         Op::ConcatCols(vs) | Op::ConcatRows(vs) => max_parent(vs),
         // Relu is unbounded above: passes positive scale through.
-        Op::Relu(a) => parent_depth(a.index()),
+        Op::Relu(a) => depth[a.index()],
         // Bounded or normalizing outputs reset the chain.
         Op::Sigmoid(_) | Op::Tanh(_) | Op::SoftmaxRows(_) | Op::NormalizeRows(..) => 0,
         // Softplus is ~identity for large x but we treat its output as
@@ -114,7 +118,24 @@ fn depth_transfer(op: &Op, parent_depth: impl Fn(usize) -> u32) -> u32 {
         Op::Softplus(_) => 0,
         // Losses are terminal scalars.
         Op::BceWithLogits { .. } | Op::Mse { .. } | Op::PairwiseLogistic { .. } => 0,
+        // The node carries its c′ half's depth; the h′ half is sliced
+        // out at `LSTM_H_DEPTH` above.
+        Op::LstmCell(step) => lstm_depths(step, depth).1,
     }
+}
+
+/// Depth of h′ = o ⊙ tanh(c′): one product of two bounded values.
+const LSTM_H_DEPTH: u32 = 1;
+
+/// `(gate input, c′)` depths of a fused LSTM step, as the unfused ops
+/// track them: `(x·w + h·u) + b` feeds the four gate activations, and
+/// c′ = f ⊙ c + i ⊙ g feeds tanh.
+fn lstm_depths(s: &LstmStep, depth: &[u32]) -> (u32, u32) {
+    let d = |v: Var| depth[v.index()];
+    let gates = (d(s.x).max(d(s.w)) + 1)
+        .max(d(s.h).max(d(s.u)) + 1)
+        .max(d(s.b));
+    (gates, d(s.c) + 1)
 }
 
 /// Depth at which a saturating activation's input is considered at risk.
@@ -128,7 +149,7 @@ pub fn lint_stability(tape: &Tape) -> Vec<StabilityFinding> {
     let mut depth = vec![0u32; n];
     for i in 0..n {
         let op = tape.node_op(i);
-        depth[i] = depth_transfer(op, |p| depth[p]);
+        depth[i] = depth_transfer(tape, op, &depth);
         let mut push = |rule: &'static str, severity: Severity, message: String| {
             findings.push(StabilityFinding {
                 node: i,
@@ -206,6 +227,20 @@ pub fn lint_stability(tape: &Tape) -> Vec<StabilityFinding> {
                         format!(
                             "input has passed {d} unbounded multiplicative ops since the \
                              last squashing; saturation risk (threshold {SATURATION_DEPTH})"
+                        ),
+                    );
+                }
+            }
+            Op::LstmCell(step) => {
+                let (gates, c_new) = lstm_depths(step, &depth);
+                if gates.max(c_new) >= SATURATION_DEPTH {
+                    push(
+                        "saturating-input-depth",
+                        Severity::Info,
+                        format!(
+                            "gate input at depth {gates}, cell state at depth {c_new} \
+                             feed the cell's sigmoid/tanh; saturation risk (threshold \
+                             {SATURATION_DEPTH})"
                         ),
                     );
                 }

@@ -8,7 +8,7 @@ use proptest::run_cases;
 use rand::rngs::StdRng;
 use rand::Rng;
 use rapid_autograd::{ParamStore, Tape};
-use rapid_check::{analyze_liveness, MemoryReport};
+use rapid_check::{analyze_liveness, backward_cone, needs_gradient, MemoryReport};
 use rapid_tensor::Matrix;
 
 fn dim(rng: &mut StdRng) -> usize {
@@ -137,9 +137,19 @@ fn plan_is_sound_and_peaks_bound_reality_on_random_graphs() {
             );
         }
 
+        // The tape's record-time flags agree with the recomputed ones.
+        let needs = needs_gradient(&tape);
+        for (i, &n) in needs.iter().enumerate() {
+            assert_eq!(tape.node_needs_grad(i), n, "node {i}: needs-gradient flag");
+        }
+
         // Backward on the real tape stays within the static bound, and
-        // the gradient bytes match the cone exactly.
+        // the gradient buffers are exactly the cone.
+        let cone = backward_cone(&tape, loss.index());
         tape.backward(loss, &mut store);
+        for (i, &c) in cone.iter().enumerate() {
+            assert_eq!(tape.node_grad_shape(i).is_some(), c, "node {i}: cone");
+        }
         let measured = tape.value_bytes() + tape.grad_bytes();
         assert!(
             measured <= m.train_peak_bytes,

@@ -10,8 +10,8 @@
 //! each pass's answer for it — to be updated, and at runtime each
 //! variant is pushed onto a real tape and run through all four passes.
 
-use rapid_autograd::op::Op;
-use rapid_autograd::{Tape, Var};
+use rapid_autograd::op::{LstmStep, Op};
+use rapid_autograd::{ParamStore, Tape, Var};
 use rapid_check::{
     analyze_gradient_flow, analyze_liveness, backward_reads, gradient_parents, infer_shape,
     lint_stability,
@@ -20,123 +20,141 @@ use rapid_tensor::Matrix;
 
 /// Records one instance of the given variant tag onto `tape` (with
 /// whatever well-formed inputs it needs) and returns the new node.
+/// Every input is a parameter bound from `store`, so the whole graph is
+/// in the node's gradient cone.
 /// The `match` on a representative `Op` value is deliberately
 /// non-wildcard: a new variant breaks this function at compile time.
-fn push_variant(tape: &mut Tape, probe: &Op) -> Var {
+fn push_variant(tape: &mut Tape, store: &mut ParamStore, probe: &Op) -> Var {
     // Fresh well-formed inputs per op so every variant type-checks.
     let m33 = || Matrix::from_vec(3, 3, (0..9).map(|i| 0.1 * i as f32 + 0.1).collect());
     let row3 = || Matrix::row_vector(&[0.2, 0.4, 0.6]);
     let col3 = || Matrix::from_vec(3, 1, vec![0.3, 0.6, 0.9]);
+    let filled = |r: usize, c: usize| {
+        Matrix::from_vec(r, c, (0..r * c).map(|i| 0.05 * i as f32 - 0.2).collect())
+    };
+    let mut param = |tape: &mut Tape, value: Matrix| {
+        let id = store.add("input", value);
+        tape.param(store, id)
+    };
     match probe {
-        Op::Leaf => tape.constant(m33()),
+        Op::Leaf => param(tape, m33()),
         Op::MatMul(..) => {
-            let a = tape.constant(m33());
-            let b = tape.constant(m33());
+            let a = param(tape, m33());
+            let b = param(tape, m33());
             tape.matmul(a, b)
         }
         Op::Transpose(..) => {
-            let a = tape.constant(m33());
+            let a = param(tape, m33());
             tape.transpose(a)
         }
         Op::Add(..) => {
-            let a = tape.constant(m33());
-            let b = tape.constant(m33());
+            let a = param(tape, m33());
+            let b = param(tape, m33());
             tape.add(a, b)
         }
         Op::Sub(..) => {
-            let a = tape.constant(m33());
-            let b = tape.constant(m33());
+            let a = param(tape, m33());
+            let b = param(tape, m33());
             tape.sub(a, b)
         }
         Op::Mul(..) => {
-            let a = tape.constant(m33());
-            let b = tape.constant(m33());
+            let a = param(tape, m33());
+            let b = param(tape, m33());
             tape.mul(a, b)
         }
         Op::Scale(..) => {
-            let a = tape.constant(m33());
+            let a = param(tape, m33());
             tape.scale(a, 2.0)
         }
         Op::AddScalar(..) => {
-            let a = tape.constant(m33());
+            let a = param(tape, m33());
             tape.add_scalar(a, 1.0)
         }
         Op::AddRowBroadcast(..) => {
-            let a = tape.constant(m33());
-            let b = tape.constant(row3());
+            let a = param(tape, m33());
+            let b = param(tape, row3());
             tape.add_row_broadcast(a, b)
         }
         Op::MulRowBroadcast(..) => {
-            let a = tape.constant(m33());
-            let b = tape.constant(row3());
+            let a = param(tape, m33());
+            let b = param(tape, row3());
             tape.mul_row_broadcast(a, b)
         }
         Op::MulColBroadcast(..) => {
-            let a = tape.constant(m33());
-            let b = tape.constant(col3());
+            let a = param(tape, m33());
+            let b = param(tape, col3());
             tape.mul_col_broadcast(a, b)
         }
         Op::Sigmoid(..) => {
-            let a = tape.constant(m33());
+            let a = param(tape, m33());
             tape.sigmoid(a)
         }
         Op::Tanh(..) => {
-            let a = tape.constant(m33());
+            let a = param(tape, m33());
             tape.tanh(a)
         }
         Op::Relu(..) => {
-            let a = tape.constant(m33());
+            let a = param(tape, m33());
             tape.relu(a)
         }
         Op::Softplus(..) => {
-            let a = tape.constant(m33());
+            let a = param(tape, m33());
             tape.softplus(a)
         }
         Op::SoftmaxRows(..) => {
-            let a = tape.constant(m33());
+            let a = param(tape, m33());
             tape.softmax_rows(a)
         }
         Op::NormalizeRows(..) => {
-            let a = tape.constant(m33());
+            let a = param(tape, m33());
             tape.normalize_rows(a, 1e-5)
         }
         Op::ConcatCols(..) => {
-            let a = tape.constant(m33());
-            let b = tape.constant(col3());
+            let a = param(tape, m33());
+            let b = param(tape, col3());
             tape.concat_cols(&[a, b])
         }
         Op::ConcatRows(..) => {
-            let a = tape.constant(m33());
-            let b = tape.constant(row3());
+            let a = param(tape, m33());
+            let b = param(tape, row3());
             tape.concat_rows(&[a, b])
         }
         Op::SliceCols(..) => {
-            let a = tape.constant(m33());
+            let a = param(tape, m33());
             tape.slice_cols(a, 0, 2)
         }
         Op::SliceRows(..) => {
-            let a = tape.constant(m33());
+            let a = param(tape, m33());
             tape.slice_rows(a, 1, 3)
         }
         Op::SumAll(..) => {
-            let a = tape.constant(m33());
+            let a = param(tape, m33());
             tape.sum_all(a)
         }
         Op::MeanAll(..) => {
-            let a = tape.constant(m33());
+            let a = param(tape, m33());
             tape.mean_all(a)
         }
         Op::BceWithLogits { .. } => {
-            let logits = tape.constant(col3());
+            let logits = param(tape, col3());
             tape.bce_with_logits(logits, &Matrix::from_vec(3, 1, vec![1.0, 0.0, 1.0]))
         }
         Op::Mse { .. } => {
-            let pred = tape.constant(col3());
+            let pred = param(tape, col3());
             tape.mse(pred, &Matrix::from_vec(3, 1, vec![0.1, 0.2, 0.3]))
         }
         Op::PairwiseLogistic { .. } => {
-            let scores = tape.constant(col3());
+            let scores = param(tape, col3());
             tape.pairwise_logistic(scores, &[1.0, 0.0, 1.0])
+        }
+        Op::LstmCell(..) => {
+            let x = param(tape, m33());
+            let h = param(tape, filled(3, 2));
+            let c = param(tape, filled(3, 2));
+            let w = param(tape, filled(3, 8));
+            let u = param(tape, filled(2, 8));
+            let b = param(tape, filled(1, 8));
+            tape.lstm_cell(x, h, c, w, u, b)
         }
     }
 }
@@ -183,6 +201,15 @@ fn probe_ops() -> Vec<Op> {
             scores: d,
             labels: vec![1.0, 0.0],
         },
+        Op::LstmCell(Box::new(LstmStep {
+            x: d,
+            h: d,
+            c: d,
+            w: d,
+            u: d,
+            b: d,
+            gates: Matrix::ones(1, 4),
+        })),
     ]
 }
 
@@ -190,7 +217,8 @@ fn probe_ops() -> Vec<Op> {
 fn every_op_variant_flows_through_all_passes() {
     for probe in probe_ops() {
         let mut tape = Tape::new();
-        let node = push_variant(&mut tape, &probe);
+        let mut store = ParamStore::new();
+        let node = push_variant(&mut tape, &mut store, &probe);
         let i = node.index();
         let op = tape.node_op(i);
         assert_eq!(op.tag(), probe.tag(), "pushed the wrong variant");
@@ -232,7 +260,12 @@ fn every_op_variant_flows_through_all_passes() {
         // whole-tape analyses accept a graph ending in this op.
         let _ = backward_reads(op);
         let flow = analyze_gradient_flow(&tape, i);
-        assert!(flow.live_nodes >= 1, "{}: empty cone", op.tag());
+        assert_eq!(
+            flow.live_nodes,
+            tape.len(),
+            "{}: every node feeds the root from a parameter",
+            op.tag()
+        );
         let mem = analyze_liveness(&tape, i);
         assert!(mem.fwd_peak_bytes > 0, "{}: zero forward peak", op.tag());
         assert!(

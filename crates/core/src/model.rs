@@ -452,7 +452,19 @@ mod tests {
         assert!(report.fwd_peak_bytes > 0);
         assert!(report.train_peak_bytes >= report.fwd_peak_bytes);
 
+        let cone = rapid_check::backward_cone(&tape, loss.index());
         tape.backward(loss, &mut model.store);
+        // Backward allocates a gradient for exactly the static cone:
+        // ancestors of the loss that need one.
+        for (i, &in_cone) in cone.iter().enumerate() {
+            assert_eq!(
+                tape.node_grad_shape(i).is_some(),
+                in_cone,
+                "node {i} ({})",
+                tape.node_op(i).tag()
+            );
+        }
+        assert_eq!(tape.grad_bytes(), report.grad_bytes);
         let measured = tape.value_bytes() + tape.grad_bytes();
         assert!(
             measured <= report.train_peak_bytes,

@@ -66,7 +66,8 @@ impl LstmCell {
     }
 
     /// One step: takes `(B, in)` input and `(B, h)` previous hidden and
-    /// cell states; returns the new `(h, c)`.
+    /// cell states; returns the new `(h, c)`. The step is one fused
+    /// [`Tape::lstm_cell`] node, sliced into its two halves.
     pub fn step(
         &self,
         tape: &mut Tape,
@@ -78,25 +79,10 @@ impl LstmCell {
         let w = tape.param(store, self.w);
         let u = tape.param(store, self.u);
         let b = tape.param(store, self.b);
-        let xw = tape.matmul(x, w);
-        let hu = tape.matmul(h_prev, u);
-        let gates = tape.add(xw, hu);
-        let gates = tape.add_row_broadcast(gates, b);
-        let h = self.hidden;
-        let i_g = tape.slice_cols(gates, 0, h);
-        let f_g = tape.slice_cols(gates, h, 2 * h);
-        let g_g = tape.slice_cols(gates, 2 * h, 3 * h);
-        let o_g = tape.slice_cols(gates, 3 * h, 4 * h);
-        let i = tape.sigmoid(i_g);
-        let f = tape.sigmoid(f_g);
-        let g = tape.tanh(g_g);
-        let o = tape.sigmoid(o_g);
-        let fc = tape.mul(f, c_prev);
-        let ig = tape.mul(i, g);
-        let c = tape.add(fc, ig);
-        let ct = tape.tanh(c);
-        let h_new = tape.mul(o, ct);
-        (h_new, c)
+        let cell = tape.lstm_cell(x, h_prev, c_prev, w, u, b);
+        let h = tape.slice_cols(cell, 0, self.hidden);
+        let c = tape.slice_cols(cell, self.hidden, 2 * self.hidden);
+        (h, c)
     }
 
     /// Zero-valued initial `(h, c)` pair for a batch of size `batch`.

@@ -39,3 +39,4 @@ mod proptests;
 
 pub use init::xavier_bound;
 pub use matrix::Matrix;
+pub use ops::stable_sigmoid;

@@ -479,8 +479,10 @@ impl Matrix {
 }
 
 /// Numerically stable sigmoid: never exponentiates a large positive value.
+/// [`Matrix::sigmoid`] applies it elementwise; fused kernels call it
+/// directly so their outputs stay bit-identical to the unfused ops.
 #[inline]
-pub(crate) fn stable_sigmoid(x: f32) -> f32 {
+pub fn stable_sigmoid(x: f32) -> f32 {
     if x >= 0.0 {
         1.0 / (1.0 + (-x).exp())
     } else {
