@@ -187,18 +187,11 @@ impl DiversityEstimator {
     }
 
     /// The personalized diversity gain `Δ_R = θ̂ ⊙ d_R` (Eq. 6) as an
-    /// `(L, m)` node. `novelty` is the precomputed `(L, m)` marginal
-    /// diversity matrix `d_R` (a `PreparedList` carries it; legacy
-    /// callers build it with [`Self::marginal_diversity_matrix`]).
-    pub fn personalized_gain(
-        &self,
-        tape: &mut Tape,
-        store: &ParamStore,
-        ds: &Dataset,
-        user: UserId,
-        novelty: &Matrix,
-    ) -> Var {
-        let theta = self.preference_distribution(tape, store, ds, user);
+    /// `(L, m)` node, from a `(1, m)` `θ̂` node. `novelty` is the
+    /// precomputed `(L, m)` marginal diversity matrix `d_R` (a
+    /// `PreparedList` carries it; legacy callers build it with
+    /// [`Self::marginal_diversity_matrix`]).
+    pub fn personalized_gain(tape: &mut Tape, theta: Var, novelty: &Matrix) -> Var {
         let d_r = tape.constant(novelty.clone());
         tape.mul_row_broadcast(d_r, theta)
     }
@@ -248,7 +241,8 @@ mod tests {
         let items = &ds.test[0].candidates;
         let raw = DiversityEstimator::marginal_diversity_matrix(&ds, items);
         let mut tape = Tape::new();
-        let gain = est.personalized_gain(&mut tape, &store, &ds, 0, &raw);
+        let theta = est.preference_distribution(&mut tape, &store, &ds, 0);
+        let gain = DiversityEstimator::personalized_gain(&mut tape, theta, &raw);
         let g = tape.value(gain);
         assert_eq!(g.shape(), raw.shape());
         for (gv, rv) in g.as_slice().iter().zip(raw.as_slice()) {

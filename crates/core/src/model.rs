@@ -9,6 +9,7 @@ use rapid_data::Dataset;
 use rapid_nn::{Activation, Mlp};
 use rapid_rerankers::{FitReport, PreparedList, ReRanker, RerankInput};
 use rapid_tensor::Matrix;
+use std::sync::OnceLock;
 
 use crate::config::{OutputMode, RapidConfig};
 use crate::diversity_estimator::DiversityEstimator;
@@ -24,6 +25,9 @@ pub struct Rapid {
     head_mean: Mlp,
     /// Present only in probabilistic mode (Eq. 8).
     head_std: Option<Mlp>,
+    /// `θ̂` per dataset user for inference, filled on first use and
+    /// emptied by every path that writes `store`.
+    theta_cache: Vec<OnceLock<Matrix>>,
 }
 
 impl Rapid {
@@ -86,6 +90,7 @@ impl Rapid {
             diversity,
             head_mean,
             head_std,
+            theta_cache: ds.users.iter().map(|_| OnceLock::new()).collect(),
         }
     }
 
@@ -100,57 +105,82 @@ impl Rapid {
     }
 
     /// The learned preference distribution `θ̂` for a user (used by the
-    /// Fig. 5 case study). `None` for the RAPID-RNN ablation.
+    /// Fig. 5 case study), read from the same cache inference scores
+    /// with. `None` for the RAPID-RNN ablation.
     pub fn preference_distribution(&self, ds: &Dataset, user: usize) -> Option<Vec<f32>> {
-        let div = self.diversity.as_ref()?;
-        let mut tape = Tape::new();
-        let theta = div.preference_distribution(&mut tape, &self.store, ds, user);
-        Some(tape.value(theta).as_slice().to_vec())
+        self.cached_theta(ds, user)
+            .map(|theta| theta.as_slice().to_vec())
     }
 
-    /// Builds the fused head input `[H_R, Δ_R]` (Eq. 7/8 input). The
-    /// prepared feature matrix has the exact `[x_u, x_v, τ_v, s]` layout
-    /// of [`RelevanceEstimator::item_representations`], and the prepared
-    /// novelty matrix is `d_R` (Eq. 5), so nothing is re-gathered here.
-    fn head_input(
-        &self,
-        tape: &mut Tape,
-        store: &ParamStore,
-        ds: &Dataset,
-        prep: &PreparedList,
-    ) -> Var {
-        let reps = tape.constant(prep.features.clone());
-        let h_r = self.relevance.forward(tape, store, reps);
-        match &self.diversity {
-            Some(div) => {
-                let delta = div.personalized_gain(tape, store, ds, prep.user(), &prep.novelty);
-                tape.concat_cols(&[h_r, delta])
-            }
-            None => h_r,
+    /// `θ̂` for `user` under the current parameters, computed on a fresh
+    /// tape on first use. `θ̂` depends only on the parameters and the
+    /// behavior planes built at construction, never on a candidate list,
+    /// so the cached value is exactly what a recorded diversity subgraph
+    /// would produce.
+    fn cached_theta(&self, ds: &Dataset, user: usize) -> Option<&Matrix> {
+        let div = self.diversity.as_ref()?;
+        Some(self.theta_cache[user].get_or_init(|| {
+            let mut tape = Tape::new();
+            let theta = div.preference_distribution(&mut tape, &self.store, ds, user);
+            tape.value(theta).clone()
+        }))
+    }
+
+    /// Empties the `θ̂` cache; called before anything writes the store.
+    fn forget_thetas(&mut self) {
+        for slot in &mut self.theta_cache {
+            slot.take();
         }
     }
 
-    /// Training-time scores `(L, 1)`: deterministic logits (Eq. 7) or the
-    /// reparameterized sample `φ̂ + ξ ⊙ Σ̂` (Eq. 9).
-    fn train_scores(
+    /// Records the scores `(L, 1)` of one list.
+    ///
+    /// `theta` is the cached `θ̂` value for inference; `None` records the
+    /// diversity estimator's subgraph in its place (training and
+    /// `record_graph`). Everything after `θ̂` — `Δ_R = θ̂ ⊙ d_R` (Eq. 6),
+    /// the fused input `[H_R, Δ_R]` and the heads — is the same graph
+    /// either way. The prepared feature matrix has the exact
+    /// `[x_u, x_v, τ_v, s]` layout of
+    /// [`RelevanceEstimator::item_representations`], and the prepared
+    /// novelty matrix is `d_R` (Eq. 5), so nothing is re-gathered here.
+    ///
+    /// With `noise_rng` the probabilistic head returns the training-time
+    /// reparameterized sample `φ̂ + ξ ⊙ Σ̂` (Eq. 9); without it, the UCB
+    /// `φ̂ + Σ̂` (Eq. 10). The deterministic head returns logits (Eq. 7).
+    fn score_graph(
         &self,
         tape: &mut Tape,
-        store: &ParamStore,
         ds: &Dataset,
         prep: &PreparedList,
-        noise_rng: &mut StdRng,
+        theta: Option<&Matrix>,
+        noise_rng: Option<&mut StdRng>,
     ) -> Var {
-        let fused = self.head_input(tape, store, ds, prep);
+        let store = &self.store;
+        let reps = tape.constant(prep.features.clone());
+        let h_r = self.relevance.forward(tape, store, reps);
+        let fused = match &self.diversity {
+            Some(div) => {
+                let theta = match theta {
+                    Some(value) => tape.constant(value.clone()),
+                    None => div.preference_distribution(tape, store, ds, prep.user()),
+                };
+                let delta = DiversityEstimator::personalized_gain(tape, theta, &prep.novelty);
+                tape.concat_cols(&[h_r, delta])
+            }
+            None => h_r,
+        };
         let mean = self.head_mean.forward(tape, store, fused);
-        match &self.head_std {
-            None => mean,
-            Some(head_std) => {
-                let std = head_std.forward(tape, store, fused);
-                let xi = Matrix::rand_normal(prep.len(), 1, 0.0, 1.0, noise_rng);
-                let xi = tape.constant(xi);
+        let Some(head_std) = &self.head_std else {
+            return mean;
+        };
+        let std = head_std.forward(tape, store, fused);
+        match noise_rng {
+            Some(rng) => {
+                let xi = tape.constant(Matrix::rand_normal(prep.len(), 1, 0.0, 1.0, rng));
                 let noise = tape.mul(xi, std);
                 tape.add(mean, noise)
             }
+            None => tape.add(mean, std),
         }
     }
 
@@ -166,6 +196,7 @@ impl Rapid {
     /// # Errors
     /// Returns `InvalidData` on format, name, or shape mismatches.
     pub fn load(&mut self, r: &mut impl std::io::Read) -> std::io::Result<()> {
+        self.forget_thetas();
         let loaded = ParamStore::load(r)?;
         self.store.restore_from(&loaded)
     }
@@ -178,27 +209,17 @@ impl Rapid {
     /// # Errors
     /// Returns `InvalidData` on name or shape mismatches.
     pub fn restore(&mut self, params: &ParamStore) -> std::io::Result<()> {
+        self.forget_thetas();
         self.store.restore_from(params)
     }
 
-    /// Records the inference-time score graph `(L, 1)` onto `tape`:
-    /// logits (det) or the UCB `φ̂ + Σ̂` (Eq. 10).
-    fn score_graph(&self, tape: &mut Tape, ds: &Dataset, prep: &PreparedList) -> Var {
-        let fused = self.head_input(tape, &self.store, ds, prep);
-        let mean = self.head_mean.forward(tape, &self.store, fused);
-        match &self.head_std {
-            None => mean,
-            Some(head_std) => {
-                let std = head_std.forward(tape, &self.store, fused);
-                tape.add(mean, std)
-            }
-        }
-    }
-
     /// Inference-time scores: logits (det) or the UCB `φ̂ + Σ̂` (Eq. 10).
+    /// `θ̂` comes from the per-user cache, so only the relevance
+    /// estimator and the heads run per list.
     pub fn scores_prepared(&self, ds: &Dataset, prep: &PreparedList) -> Vec<f32> {
+        let theta = self.cached_theta(ds, prep.user());
         let mut tape = Tape::new();
-        let out = self.score_graph(&mut tape, ds, prep);
+        let out = self.score_graph(&mut tape, ds, prep, theta, None);
         tape.value(out).as_slice().to_vec()
     }
 
@@ -224,6 +245,7 @@ impl Rapid {
         ckpt: Option<&rapid_autograd::CheckpointConfig>,
     ) -> FitReport {
         use rand::seq::SliceRandom;
+        self.forget_thetas();
         let mut optimizer = Adam::new(self.config.lr);
         let checkpointer = ckpt.map(|c| rapid_autograd::Checkpointer::new(c.clone()));
         let start_epoch = rapid_rerankers::resume_into(
@@ -251,7 +273,7 @@ impl Rapid {
         }
         let mut tape = Tape::new();
         // This loop differs from `fit_listwise_opts` only in the
-        // reparameterization noise fed through `train_scores`; the
+        // reparameterization noise fed through `score_graph`; the
         // backward/update path is the shared `TrainStep`.
         let mut step =
             rapid_rerankers::TrainStep::new(self.name(), lists.len(), self.config.batch, Some(5.0));
@@ -267,8 +289,7 @@ impl Rapid {
                 let mut losses = Vec::with_capacity(chunk.len());
                 for &i in chunk {
                     let prep = &lists[i];
-                    let scores =
-                        self.train_scores(&mut tape, &self.store, ds, prep, &mut noise_rng);
+                    let scores = self.score_graph(&mut tape, ds, prep, None, Some(&mut noise_rng));
                     let clicks = prep.labels();
                     let targets = Matrix::from_vec(
                         clicks.len(),
@@ -312,7 +333,7 @@ impl ReRanker for Rapid {
     }
 
     fn record_graph(&self, ds: &Dataset, prep: &PreparedList, tape: &mut Tape) -> Option<Var> {
-        Some(self.score_graph(tape, ds, prep))
+        Some(self.score_graph(tape, ds, prep, None, None))
     }
 }
 
@@ -383,17 +404,40 @@ mod tests {
 
     use fixtures::*;
 
-    #[test]
-    fn every_variant_builds_and_outputs_permutations() {
-        let ds = tiny_dataset(21);
-        let samples = click_samples(&ds, 8, 1);
-        for config in [
+    fn every_variant() -> [RapidConfig; 5] {
+        [
             RapidConfig::deterministic(),
             RapidConfig::probabilistic(),
             RapidConfig::without_diversity(),
             RapidConfig::mean_behavior(),
             RapidConfig::transformer_relevance(),
-        ] {
+        ]
+    }
+
+    fn prepared(ds: &Dataset, samples: &[rapid_rerankers::TrainSample]) -> Vec<PreparedList> {
+        samples
+            .iter()
+            .map(|s| PreparedList::from_sample(ds, s))
+            .collect()
+    }
+
+    fn bits(scores: &[f32]) -> Vec<u32> {
+        scores.iter().map(|x| x.to_bits()).collect()
+    }
+
+    /// A fresh model of `config` holding `model`'s parameters. (A model
+    /// built from another seed also samples other behavior sequences.)
+    fn fresh_copy(ds: &Dataset, config: &RapidConfig, model: &Rapid) -> Rapid {
+        let mut copy = Rapid::new(ds, config.clone());
+        copy.restore(&model.store).unwrap();
+        copy
+    }
+
+    #[test]
+    fn every_variant_builds_and_outputs_permutations() {
+        let ds = tiny_dataset(21);
+        let samples = click_samples(&ds, 8, 1);
+        for config in every_variant() {
             let mut model = Rapid::new(
                 &ds,
                 RapidConfig {
@@ -408,6 +452,142 @@ mod tests {
                 "variant {}",
                 model.name()
             );
+        }
+    }
+
+    #[test]
+    fn inference_scores_equal_the_recorded_graph_bit_for_bit() {
+        // Inference reads θ̂ from the per-user cache; `record_graph`
+        // records the diversity estimator in full. Both must give the
+        // same scores, on a cold and on a warm cache.
+        let ds = tiny_dataset(27);
+        let samples = click_samples(&ds, 12, 7);
+        let lists = prepared(&ds, &samples);
+        for config in every_variant() {
+            let mut model = Rapid::new(
+                &ds,
+                RapidConfig {
+                    epochs: 1,
+                    ..config
+                },
+            );
+            model.fit(&ds, &samples[..8]);
+            for _ in 0..2 {
+                for prep in &lists {
+                    let mut tape = Tape::new();
+                    let out = model.record_graph(&ds, prep, &mut tape).unwrap();
+                    assert_eq!(
+                        bits(&model.scores_prepared(&ds, prep)),
+                        bits(tape.value(out).as_slice()),
+                        "variant {} user {}",
+                        model.name(),
+                        prep.user()
+                    );
+                }
+            }
+        }
+    }
+
+    #[test]
+    fn cached_theta_follows_every_parameter_write() {
+        // Each write to the parameters (fit, restore, load) must drop the
+        // θ̂ computed under the old ones: afterwards the model scores like
+        // a fresh model holding the same parameters.
+        let ds = tiny_dataset(28);
+        let samples = click_samples(&ds, 16, 8);
+        let lists = prepared(&ds, &samples);
+        let config = RapidConfig {
+            epochs: 1,
+            ..RapidConfig::probabilistic()
+        };
+        let scores = |m: &Rapid| -> Vec<Vec<u32>> {
+            lists
+                .iter()
+                .map(|p| bits(&m.scores_prepared(&ds, p)))
+                .collect()
+        };
+        let mut model = Rapid::new(&ds, config.clone());
+        let mut before = scores(&model);
+
+        model.fit(&ds, &samples);
+        let after = scores(&model);
+        assert_ne!(after, before, "fit left the scores unchanged");
+        assert_eq!(after, scores(&fresh_copy(&ds, &config, &model)), "fit");
+        before = after;
+
+        let other = Rapid::new(
+            &ds,
+            RapidConfig {
+                seed: config.seed + 1,
+                ..config.clone()
+            },
+        );
+        model.restore(&other.store).unwrap();
+        let after = scores(&model);
+        assert_ne!(after, before, "restore left the scores unchanged");
+        assert_eq!(after, scores(&fresh_copy(&ds, &config, &other)), "restore");
+        before = after;
+
+        let third = Rapid::new(
+            &ds,
+            RapidConfig {
+                seed: config.seed + 2,
+                ..config.clone()
+            },
+        );
+        let mut bytes = Vec::new();
+        third.save(&mut bytes).unwrap();
+        model.load(&mut bytes.as_slice()).unwrap();
+        let after = scores(&model);
+        assert_ne!(after, before, "load left the scores unchanged");
+        assert_eq!(after, scores(&fresh_copy(&ds, &config, &third)), "load");
+    }
+
+    #[test]
+    fn concurrent_inference_over_shared_users_matches_sequential_calls() {
+        // Lists that share users race to fill the same cache slots:
+        // through `rerank_batch`, and on two threads released together.
+        let ds = tiny_dataset(29);
+        let samples = click_samples(&ds, 40, 9);
+        let lists = prepared(&ds, &samples);
+        let mut users: Vec<usize> = lists.iter().map(|p| p.user()).collect();
+        users.sort_unstable();
+        users.dedup();
+        assert!(users.len() < lists.len(), "no two lists share a user");
+
+        let config = RapidConfig {
+            epochs: 1,
+            ..RapidConfig::probabilistic()
+        };
+        let mut model = Rapid::new(&ds, config.clone());
+        model.fit(&ds, &samples[..8]);
+        let reference = fresh_copy(&ds, &config, &model);
+        let sequential: Vec<Vec<usize>> = lists
+            .iter()
+            .map(|p| reference.rerank_prepared(&ds, p))
+            .collect();
+
+        let batched = fresh_copy(&ds, &config, &model);
+        assert_eq!(batched.rerank_batch(&ds, &lists), sequential);
+
+        let raced = fresh_copy(&ds, &config, &model);
+        let start = std::sync::Barrier::new(2);
+        let halves: Vec<Vec<Vec<usize>>> = std::thread::scope(|s| {
+            let handles: Vec<_> = (0..2)
+                .map(|_| {
+                    s.spawn(|| {
+                        start.wait();
+                        lists
+                            .iter()
+                            .map(|p| raced.rerank_prepared(&ds, p))
+                            .collect()
+                    })
+                })
+                .collect();
+            handles.into_iter().map(|h| h.join().unwrap()).collect()
+        });
+        for half in halves {
+            assert_eq!(half, sequential);
         }
     }
 
@@ -436,7 +616,7 @@ mod tests {
         let mut tape = Tape::new();
         let mut losses = Vec::new();
         for prep in lists.iter().take(batch) {
-            let scores = model.train_scores(&mut tape, &model.store, &ds, prep, &mut noise_rng);
+            let scores = model.score_graph(&mut tape, &ds, prep, None, Some(&mut noise_rng));
             let clicks = prep.labels();
             let targets = Matrix::from_vec(
                 clicks.len(),
@@ -595,10 +775,13 @@ mod tests {
         let input = &samples[0].input;
         let prep = PreparedList::from_input(&ds, input.clone());
 
+        // The recorded UCB graph ends in `add(mean, std)`.
         let mut tape = Tape::new();
-        let fused = model.head_input(&mut tape, &model.store, &ds, &prep);
-        let mean = model.head_mean.forward(&mut tape, &model.store, fused);
-        let mean_vals = tape.value(mean).as_slice().to_vec();
+        let out = model.score_graph(&mut tape, &ds, &prep, None, None);
+        let rapid_autograd::op::Op::Add(mean, _) = tape.node_op(out.index()) else {
+            panic!("the UCB output is not an add");
+        };
+        let mean_vals = tape.value(*mean).as_slice().to_vec();
         let ucb = model.scores(&ds, input);
         for (u, m) in ucb.iter().zip(&mean_vals) {
             assert!(u > m, "UCB {u} must exceed mean {m}");

@@ -211,13 +211,6 @@ impl InitialRanker for Din {
         tape.value(logits).get(0, 0)
     }
 
-    fn rank(&self, ds: &Dataset, req: &Request) -> Vec<ItemId> {
-        let scores = self.score_request(ds, req);
-        let mut order: Vec<(ItemId, f32)> = req.candidates.iter().copied().zip(scores).collect();
-        order.sort_by(|a, b| b.1.total_cmp(&a.1).then(a.0.cmp(&b.0)));
-        order.into_iter().map(|(v, _)| v).collect()
-    }
-
     fn scores(&self, ds: &Dataset, req: &Request) -> Vec<f32> {
         self.score_request(ds, req)
     }
@@ -262,28 +255,6 @@ mod tests {
         let holdout = crate::traits::sample_holdout(&ds, 3000, 99);
         let a = auc(&ds, &holdout, |d, u, v| model.score(d, u, v));
         assert!(a > 0.62, "held-out AUC {a}");
-    }
-
-    #[test]
-    fn batch_and_single_scoring_agree() {
-        let ds = small_ds(7);
-        let model = Din::fit(
-            &ds,
-            &DinConfig {
-                epochs: 1,
-                ..DinConfig::default()
-            },
-        );
-        let req = &ds.test[0];
-        let batch = model.score_request(&ds, req);
-        for (i, &v) in req.candidates.iter().enumerate() {
-            let single = model.score(&ds, req.user, v);
-            assert!(
-                (batch[i] - single).abs() < 1e-4,
-                "batch {} vs single {single}",
-                batch[i]
-            );
-        }
     }
 
     #[test]

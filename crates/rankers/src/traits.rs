@@ -14,13 +14,20 @@ pub trait InitialRanker {
     /// Orders the request's candidates by descending score (stable
     /// total-order tie-break by item id so ranking is deterministic).
     fn rank(&self, ds: &Dataset, req: &Request) -> Vec<ItemId> {
+        self.rank_scored(ds, req).0
+    }
+
+    /// [`InitialRanker::rank`]'s order together with each ranked item's
+    /// score, from one [`InitialRanker::scores`] call.
+    fn rank_scored(&self, ds: &Dataset, req: &Request) -> (Vec<ItemId>, Vec<f32>) {
         let mut scored: Vec<(ItemId, f32)> = req
             .candidates
             .iter()
-            .map(|&v| (v, self.score(ds, req.user, v)))
+            .copied()
+            .zip(self.scores(ds, req))
             .collect();
         scored.sort_by(|a, b| b.1.total_cmp(&a.1).then(a.0.cmp(&b.0)));
-        scored.into_iter().map(|(v, _)| v).collect()
+        scored.into_iter().unzip()
     }
 
     /// Scores every candidate of a request, in candidate order.
